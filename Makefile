@@ -45,23 +45,20 @@ bench-gate:
 
 # Service-level load benchmark: boot a durable nocmapd, drive it with
 # cmd/nocmapload at a sustained seeded request rate, and record jobs/sec
-# + P50/P85/P99 into BENCH.json's "service" section — once per store
-# mode, so the async group-commit writer and the fsync-per-record
-# baseline are always measured side by side (behind a 1ms injected
-# fsync latency; see scripts/bench_service.sh). Tunables match the
-# script.
+# + P50/P85/P99 into BENCH.json's "service" section as "solve-group"
+# (behind a 1ms injected fsync latency; see scripts/bench_service.sh).
+# Tunables match the script.
 SERVICE_RPS ?= 900
 SERVICE_DURATION ?= 5s
 bench-service:
 	bash scripts/bench_service.sh $(SERVICE_RPS) $(SERVICE_DURATION)
 
-# XmR control-chart gate over the recorded service runs: the newest run
-# of each name must sit inside the natural process limits of its own
+# XmR control-chart gate over the recorded service runs: the newest
+# solve-group run must sit inside the natural process limits of its own
 # history (jobs/sec lower limit, P99 upper limit). With fewer than 4
 # prior runs it records without gating.
 bench-service-gate: bench-service
 	$(GO) run ./cmd/nocmapload -gate solve-group
-	$(GO) run ./cmd/nocmapload -gate solve-sync
 
 # Store-level large-volume benchmark: seed a multi-thousand-record
 # FileStore, force a throttled multi-second compaction pass, and gate

@@ -17,9 +17,9 @@
 //	                                 # record to these followers (nocmapsh
 //	                                 # manages the set automatically when
 //	                                 # probing is on)
-//	nocmapd -store-mode sync         # fsync-per-record baseline writes
-//	                                 # (default "group": async group-commit
-//	                                 # writer — many records per fsync)
+//	nocmapd -store /var/lib/nocmapd -store-queue 1024
+//	                                 # shed submissions with 429 once 1024
+//	                                 # store writes wait on the fsync
 //	nocmapd -store-fault fail-every=100
 //	                                 # fault-injected store (tests/chaos)
 //
@@ -45,15 +45,6 @@ import (
 	"repro/nocmap/store"
 )
 
-// syncOnly hides a store's batch/sync fast paths behind the plain
-// JobStore interface, so the server applies one op per store call — the
-// fsync-per-record baseline -store-mode=sync benchmarks against.
-type syncOnly struct{ store.JobStore }
-
-// Unwrap exposes the wrapped store so the server's stats can reach the
-// backing FileStore's compaction counters through the shim.
-func (s syncOnly) Unwrap() store.JobStore { return s.JobStore }
-
 func main() {
 	addr := flag.String("addr", ":8537", "listen address (host:port; port 0 picks one)")
 	pool := flag.Int("pool", 0, "solver workers (0: one per CPU)")
@@ -67,20 +58,20 @@ func main() {
 	replicateTo := flag.String("replicate-to", "", "comma-separated base URLs of the ring successors to replicate job records to (empty: replication off until the router pushes a target set)")
 	durableAckWait := flag.Duration("durable-ack-wait", 0, "how long a durability=replicated submission waits for a follower ack before degrading to async (0: 2s default)")
 	storeFault := flag.String("store-fault", "", `fault-inject the job store, e.g. "fail-every=100,latency=2ms,torn=1" (chaos testing; requires -store)`)
-	storeMode := flag.String("store-mode", "group", `durable-store write path: "group" (async group-commit writer: many records per fsync, bounded queue, backpressure) or "sync" (one fsync per record — the pre-group-commit baseline, kept for benchmarking and bisection)`)
-	storeQueue := flag.Int("store-queue", 4096, "group-commit queue depth before store writes apply backpressure (store-mode=group)")
+	storeQueue := flag.Int("store-queue", 4096, "store ops written behind (queued or in flight, not yet fsynced) before submissions are rejected with 429")
 	storeCompactOps := flag.Int("store-compact-ops", 0, "WAL ops before the store rotates segments and compacts off the write path (0: default 1024)")
 	storeCompactBytes := flag.Int64("store-compact-bytes", 0, "WAL bytes before the store compacts regardless of op count (0: default 256MiB)")
 	flag.Parse()
 
 	cfg := server.Config{
-		Pool:      *pool,
-		QueueSize: *queue,
-		CacheSize: *cache,
-		BatchSize: *batch,
-		Retention: *retention,
-		Profile:   server.Profile(*profile),
-		IDPrefix:  *idPrefix,
+		Pool:       *pool,
+		QueueSize:  *queue,
+		CacheSize:  *cache,
+		BatchSize:  *batch,
+		Retention:  *retention,
+		Profile:    server.Profile(*profile),
+		IDPrefix:   *idPrefix,
+		StoreQueue: *storeQueue,
 	}
 	for _, t := range strings.Split(*replicateTo, ",") {
 		if t = strings.TrimSpace(t); t != "" {
@@ -104,20 +95,6 @@ func main() {
 			}
 			js = fault
 			log.Printf("nocmapd: store faults armed: %s", *storeFault)
-		}
-		switch *storeMode {
-		case "group":
-			// The async writer sits outermost: it batches everything —
-			// including injected fault latency, which then costs one
-			// "seek" per batch instead of one per record.
-			js = store.NewGroupCommit(js, store.GroupCommitConfig{QueueSize: *storeQueue})
-		case "sync":
-			// Every record pays its own fsync: hide the batch fast path so
-			// the server's flusher falls back to one write per op — the
-			// pre-group-commit baseline, kept for benchmark comparison.
-			js = syncOnly{js}
-		default:
-			log.Fatalf("nocmapd: unknown -store-mode %q (want \"group\" or \"sync\")", *storeMode)
 		}
 		defer js.Close()
 		cfg.Store = js

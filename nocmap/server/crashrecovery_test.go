@@ -9,6 +9,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -27,32 +28,68 @@ import (
 //     their original IDs,
 //   - /v1/stats exposes the recovered/restored counters.
 //
-// It runs once per -store-mode: "group" (the async group-commit
-// default) and "sync" (the fsync-per-record baseline) must make the
-// same recovery promises.
+// The subtest is named for the write path it crosses: the server
+// outbox's group commit, the only one nocmapd has.
 func TestCrashRecoveryE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and kills real nocmapd processes")
 	}
 	workdir := t.TempDir()
-	bin := filepath.Join(workdir, "nocmapd")
+	bin := buildNocmapd(t, workdir)
+	t.Run("group", func(t *testing.T) {
+		crashRecoveryE2E(t, bin, workdir)
+	})
+}
+
+// TestStoreQueueFlagE2E pins nocmapd's -store-queue flag as the server's
+// write-behind bound: with a one-op window over a 300ms disk, the
+// second submission sheds with a 429 naming the write-behind window.
+func TestStoreQueueFlagE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs a real nocmapd process")
+	}
+	workdir := t.TempDir()
+	bin := buildNocmapd(t, workdir)
+	args := []string{"-addr", "127.0.0.1:0", "-store", filepath.Join(workdir, "store"),
+		"-store-queue", "1", "-store-fault", "latency=300ms", "-pool", "1"}
+	cmd, base := startNocmapd(t, bin, args, filepath.Join(workdir, "nocmapd.log"))
+	defer func() {
+		cmd.Process.Signal(syscall.SIGTERM)
+		cmd.Wait()
+	}()
+
+	submitE2E(t, base, quickBody(t, 0))
+	resp, got := post(t, base+"/v1/jobs", quickBody(t, 1))
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("second submit status = %d (body %s), want 429 from -store-queue 1", resp.StatusCode, got)
+	}
+	var envelope struct {
+		Error server.ErrorPayload `json:"error"`
+	}
+	if err := json.Unmarshal(got, &envelope); err != nil {
+		t.Fatal(err)
+	}
+	if envelope.Error.Code != server.CodeQueueFull || !strings.Contains(envelope.Error.Message, "write-behind") {
+		t.Fatalf("429 error = %+v, want %s naming the write-behind window", envelope.Error, server.CodeQueueFull)
+	}
+}
+
+// buildNocmapd compiles cmd/nocmapd into dir and returns the binary.
+func buildNocmapd(t *testing.T, dir string) string {
+	t.Helper()
+	bin := filepath.Join(dir, "nocmapd")
 	build := exec.Command("go", "build", "-o", bin, "repro/cmd/nocmapd")
 	if out, err := build.CombinedOutput(); err != nil {
 		t.Fatalf("building nocmapd: %v\n%s", err, out)
 	}
-	for _, mode := range []string{"group", "sync"} {
-		t.Run(mode, func(t *testing.T) {
-			crashRecoveryE2E(t, bin, workdir, mode)
-		})
-	}
+	return bin
 }
 
-func crashRecoveryE2E(t *testing.T, bin, workdir, mode string) {
-	storeDir := filepath.Join(workdir, "store-"+mode)
-	args := []string{"-addr", "127.0.0.1:0", "-store", storeDir, "-store-mode", mode,
-		"-pool", "1", "-queue", "32"}
+func crashRecoveryE2E(t *testing.T, bin, workdir string) {
+	storeDir := filepath.Join(workdir, "store")
+	args := []string{"-addr", "127.0.0.1:0", "-store", storeDir, "-pool", "1", "-queue", "32"}
 
-	cmd, base := startNocmapd(t, bin, args, filepath.Join(workdir, "boot1-"+mode+".log"))
+	cmd, base := startNocmapd(t, bin, args, filepath.Join(workdir, "boot1.log"))
 
 	// Two quick jobs reach terminal state and the result cache.
 	quick := make(map[string]json.RawMessage) // id -> pre-crash result
@@ -95,7 +132,7 @@ func crashRecoveryE2E(t *testing.T, bin, workdir, mode string) {
 	_ = cmd.Wait()
 
 	// Reboot over the same store.
-	cmd2, base2 := startNocmapd(t, bin, args, filepath.Join(workdir, "boot2-"+mode+".log"))
+	cmd2, base2 := startNocmapd(t, bin, args, filepath.Join(workdir, "boot2.log"))
 	defer func() {
 		cmd2.Process.Signal(syscall.SIGTERM)
 		cmd2.Wait()

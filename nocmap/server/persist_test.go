@@ -364,31 +364,28 @@ func TestProfileFastAppliesDefaults(t *testing.T) {
 // TestStatsSurfaceCompaction pins the compaction observability: the
 // server's stats expose the backing FileStore's compactions /
 // compact_running / segments counters, reached by unwrapping the store
-// wrapper chain (here group commit over the file store).
+// wrapper chain (here fault injection over the file store).
 func TestStatsSurfaceCompaction(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := store.OpenConfig(dir, store.FileConfig{CompactOps: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := store.NewGroupCommit(fs, store.GroupCommitConfig{})
-	svc, err := server.New(server.Config{Pool: 1, QueueSize: 8, CacheSize: 8, Store: g})
+	fault := store.NewFaultStore(fs)
+	svc, err := server.New(server.Config{Pool: 1, QueueSize: 8, CacheSize: 8, Store: fault})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer fault.Close()
 	defer svc.Close()
-	defer g.Close()
 
 	// Churn one record far past the trigger through the same store the
 	// server persists to, then wait for the pass to publish.
 	for i := 0; i < 48; i++ {
 		rec := store.JobRecord{ID: "churn", Key: "churn", State: store.StateDone, Seq: uint64(i + 1)}
-		if err := g.PutJob(rec); err != nil {
+		if err := fault.PutJob(rec); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := g.Sync(context.Background()); err != nil {
-		t.Fatal(err)
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for fs.CompactionStats().Compactions == 0 || fs.CompactionStats().Running {

@@ -608,9 +608,9 @@ func (s *Server) reseedAbove(target string, fromSeq uint64) {
 // watermark: the origin's highest terminal seq this follower holds
 // durably. Store writes ride the async outbox, so the handler applies
 // the batch to memory under mu, then waits OUTSIDE the lock for the
-// flusher and the store's fsync barrier (syncStore) before advancing
-// the watermark — the follower never vouches for a record that is
-// still sitting in a commit queue, and a failed write (surfaced via
+// flusher to fsync it (syncStore) before advancing the watermark — the
+// follower never vouches for a record that is still sitting in the
+// outbox, and a failed write (surfaced via
 // storeOpFailed marking the record dirty) holds the whole origin's
 // advance back until a later batch heals it.
 func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {

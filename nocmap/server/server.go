@@ -68,10 +68,11 @@ type Config struct {
 	// degrades to async (<= 0: 2s). Solve throughput is never blocked —
 	// only the submitting handler waits.
 	DurableAckWait time.Duration
-	// StoreQueue bounds the async persistence write-behind window: when
-	// more than this many store ops are enqueued but not yet settled,
-	// new submissions are rejected with 429 until the disk catches up
-	// (<= 0: 4096). This is the durability backpressure that keeps a
+	// StoreQueue bounds the async persistence write-behind window (the
+	// outbox plus the flusher's in-flight batch): when this many store
+	// ops are enqueued but not yet settled, new submissions are rejected
+	// with 429 until the disk catches up (<= 0: 4096; nocmapd's
+	// -store-queue). This is the durability backpressure that keeps a
 	// slow disk from growing unpersisted state without bound — the
 	// replacement for the old behavior of serializing the whole API
 	// behind each fsync.
@@ -192,7 +193,7 @@ type Server struct {
 	// All guarded by mu; outCond wakes the flusher.
 	outbox     []store.Op
 	outSeq     uint64 // ops ever enqueued to the outbox
-	outFlushed uint64 // ops the flusher has handed to the store
+	outFlushed uint64 // ops the flusher has settled on the store (applied or failed)
 	outWaiters []outWaiter
 	outClosed  bool
 	outCond    *sync.Cond
@@ -201,18 +202,11 @@ type Server struct {
 	wg sync.WaitGroup
 }
 
-// outWaiter parks a syncStore caller until the flusher has handed the
-// op it is waiting on to the store.
+// outWaiter parks a syncStore caller until the flusher has settled the
+// op it is waiting on.
 type outWaiter struct {
 	target uint64
 	ch     chan struct{}
-}
-
-// storeSyncer is the durability-barrier hook an async store exposes
-// (store.GroupCommitStore.Sync): syncStore calls it so "flushed from the
-// outbox" becomes "fsynced on disk" before any watermark advances.
-type storeSyncer interface {
-	Sync(ctx context.Context) error
 }
 
 // ackWaiter carries the two acknowledgment edges a durable submission
@@ -257,12 +251,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.cond = sync.NewCond(&s.mu)
 	s.outCond = sync.NewCond(&s.mu)
-	if gcs, ok := s.cfg.Store.(*store.GroupCommitStore); ok {
-		// Async-store failures surface on the writer goroutine; route
-		// them back so StoreErrors counts them and failed replica puts
-		// are marked dirty before any watermark can vouch for them.
-		gcs.SetOnError(s.storeOpFailed)
-	}
 	if s.cfg.Store != nil {
 		if err := s.replay(); err != nil {
 			return nil, err
@@ -302,10 +290,10 @@ func (s *Server) Info() Info {
 
 // Close stops accepting jobs, cancels everything queued or running,
 // waits for the workers to drain, then drains the persistence outbox —
-// every state change decided before Close returns has been handed to
-// the store (callers owning an async store still Close it to fsync the
-// tail). Queued jobs finish cancelled without a result; running jobs
-// finish cancelled with their partial result.
+// every state change decided before Close returns has been applied to
+// the store (fsynced, for a FileStore). Queued jobs finish cancelled
+// without a result; running jobs finish cancelled with their partial
+// result.
 func (s *Server) Close() {
 	s.mu.Lock()
 	if s.closed {
@@ -347,12 +335,6 @@ func (s *Server) Stats() Stats {
 	st.StorePending = int(s.outSeq - s.outFlushed) // outbox + the flusher's in-flight batch
 	termSeq := s.termSeq
 	s.mu.Unlock()
-	if gcs, ok := s.cfg.Store.(*store.GroupCommitStore); ok {
-		// Include the async writer's own queue: the full write-behind
-		// window a crash at this instant would lose.
-		enq, durable := gcs.Watermark()
-		st.StorePending += int(enq - durable)
-	}
 	if fs := backingFileStore(s.cfg.Store); fs != nil {
 		cs := fs.CompactionStats()
 		st.Compactions = cs.Compactions
@@ -377,9 +359,9 @@ func (s *Server) Stats() Stats {
 	return st
 }
 
-// backingFileStore walks the store wrapper chain (group commit, fault
-// injection, the sync-mode shim, ...) via Unwrap down to the durable
-// *store.FileStore, or nil when persistence is memory-only or absent.
+// backingFileStore walks the store wrapper chain (fault injection, ...)
+// via Unwrap down to the durable *store.FileStore, or nil when
+// persistence is memory-only or absent.
 func backingFileStore(js store.JobStore) *store.FileStore {
 	for js != nil {
 		if fs, ok := js.(*store.FileStore); ok {
@@ -477,10 +459,12 @@ func (s *Server) enqueueOpLocked(op store.Op) {
 	s.outCond.Signal()
 }
 
-// persistLoop is the flusher goroutine: it drains the outbox in FIFO
-// order and applies each drained batch to the store with no lock held.
-// Everything that accumulated while the previous batch was writing
-// flushes as one batch — group commit forms naturally under load.
+// persistLoop is the flusher goroutine and the store's only writer: it
+// drains the outbox in FIFO order and applies each drained batch to the
+// store with no lock held. Everything that accumulated while the
+// previous batch was writing flushes as one batch — group commit forms
+// naturally under load. outFlushed advances only after the store call
+// returns, so it is the durability watermark syncStore waits on.
 func (s *Server) persistLoop() {
 	defer s.flushWG.Done()
 	for {
@@ -515,9 +499,8 @@ func (s *Server) persistLoop() {
 
 // applyStoreOps hands one outbox batch to the store, outside every
 // server lock. Batch-capable stores take it whole (one durability
-// barrier — or one queue append for an async store); on a batch error,
-// or for plain stores, the ops run one by one so a single bad op cannot
-// condemn the records around it.
+// barrier); on a batch error, or for plain stores, the ops run one by
+// one so a single bad op cannot condemn the records around it.
 func (s *Server) applyStoreOps(batch []store.Op) {
 	if bs, ok := s.cfg.Store.(store.BatchStore); ok {
 		if err := bs.ApplyOps(batch); err == nil {
@@ -533,11 +516,10 @@ func (s *Server) applyStoreOps(batch []store.Op) {
 	}
 }
 
-// storeOpFailed is the shared failure sink for the async write path: the
-// flusher's per-op fallback and an async store's writer (via
-// GroupCommitStore.SetOnError) both land here, off every lock. Failures
-// are counted, and a failed replica put marks the record dirty so no
-// durability watermark vouches for it until a later write heals it.
+// storeOpFailed is the failure sink of the flusher's per-op fallback,
+// called off every lock. Failures are counted, and a failed replica put
+// marks the record dirty so no durability watermark vouches for it
+// until a later write heals it.
 func (s *Server) storeOpFailed(op store.Op, err error) {
 	_ = err // the stats counter is the signal; the server keeps serving
 	s.mu.Lock()
@@ -559,9 +541,8 @@ func (s *Server) storeTicket() uint64 {
 	return s.outSeq
 }
 
-// syncStore blocks until the flusher has handed every op up to ticket
-// to the store and — when the store is an async writer exposing a Sync
-// barrier — until those ops are durable on disk. This is the bridge
+// syncStore blocks until the flusher has settled every op up to ticket
+// on the store — durable on disk for a FileStore. This is the bridge
 // from "enqueued" to "persisted" that durability acks and replication
 // watermarks key off.
 func (s *Server) syncStore(ctx context.Context, ticket uint64) error {
@@ -569,22 +550,19 @@ func (s *Server) syncStore(ctx context.Context, ticket uint64) error {
 		return nil
 	}
 	s.mu.Lock()
-	if s.outFlushed < ticket {
-		w := outWaiter{target: ticket, ch: make(chan struct{})}
-		s.outWaiters = append(s.outWaiters, w)
+	if s.outFlushed >= ticket {
 		s.mu.Unlock()
-		select {
-		case <-w.ch:
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	} else {
-		s.mu.Unlock()
+		return nil
 	}
-	if sy, ok := s.cfg.Store.(storeSyncer); ok {
-		return sy.Sync(ctx)
+	w := outWaiter{target: ticket, ch: make(chan struct{})}
+	s.outWaiters = append(s.outWaiters, w)
+	s.mu.Unlock()
+	select {
+	case <-w.ch:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	return nil
 }
 
 // registerLocked admits an accepted job: rejected submissions (queue
@@ -633,14 +611,13 @@ func (s *Server) replicationAcked(target string, acks []repAck) {
 
 // awaitDurable implements the replicated durability class: hold the
 // submission ack until the job's record is BOTH settled on the local
-// store — flushed through the outbox and past the async writer's fsync
-// barrier, so the ack can never leapfrog a record still sitting in the
-// commit queue — and acknowledged by a follower (terminal=false waits
-// for any record — the async submit ack; terminal=true waits for a
-// terminal one — the sync solve ack). The whole wait is bounded by
-// Config.DurableAckWait and the caller's ctx; with no replication
-// targets it degrades immediately. Returns the outcome for the
-// X-Nocmap-Durability header.
+// store — flushed through the outbox and fsynced, so the ack can never
+// leapfrog a record still sitting in the outbox — and acknowledged by a
+// follower (terminal=false waits for any record — the async submit ack;
+// terminal=true waits for a terminal one — the sync solve ack). The
+// whole wait is bounded by Config.DurableAckWait and the caller's ctx;
+// with no replication targets it degrades immediately. Returns the
+// outcome for the X-Nocmap-Durability header.
 func (s *Server) awaitDurable(ctx context.Context, id string, terminal bool) string {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.DurableAckWait)
 	defer cancel()

@@ -356,10 +356,10 @@ type Stats struct {
 	// degradation observable.
 	StoreErrors uint64 `json:"store_errors"`
 	// StorePending is the write-behind depth of the async persistence
-	// path at the snapshot instant: outbox ops not yet handed to the
-	// store plus, for a group-commit store, ops its writer has not yet
-	// fsynced. This is the window a crash right now would lose for
-	// plain (non-replicated) durability.
+	// path at the snapshot instant: ops queued in the outbox plus the
+	// flusher's in-flight batch, none of them fsynced yet. This is the
+	// window a crash right now would lose for plain (non-replicated)
+	// durability.
 	StorePending int `json:"store_pending,omitempty"`
 	// Compactions / CompactRunning / StoreSegments surface the backing
 	// FileStore's WAL compaction machinery (found by unwrapping the

@@ -59,10 +59,13 @@ type FileStore struct {
 	// after the fsync (the mid-batch failure contract), compactHook
 	// observes the compactor's publish steps (the crash suite SIGKILLs
 	// inside it), compactThrottle stretches the snapshot encode (the
-	// latency bench forces a multi-second compaction with it).
+	// latency bench forces a multi-second compaction with it),
+	// syncHook sees every successful WAL fsync with the number of ops
+	// it made durable (the group-commit test counts barriers with it).
 	applyFault      func(walOp) error
 	compactHook     func(step string)
 	compactThrottle func()
+	syncHook        func(ops int)
 }
 
 // memState is the store's authoritative in-memory image, mirrored by
@@ -439,6 +442,9 @@ func (fs *FileStore) append(op walOp) error {
 	}
 	fs.walSize += int64(len(line))
 	fs.walOps++
+	if fs.syncHook != nil {
+		fs.syncHook(1)
+	}
 	if err := fs.applyLocked(op); err != nil {
 		return err
 	}
@@ -447,8 +453,9 @@ func (fs *FileStore) append(op walOp) error {
 }
 
 // ApplyOps implements BatchStore: every op in the batch is marshaled,
-// written and fsynced as ONE WAL append — the group commit that lets an
-// async writer amortize fsync latency over many terminal transitions.
+// written and fsynced as ONE WAL append — the group commit that lets the
+// server's outbox flusher amortize fsync latency over many terminal
+// transitions.
 // Order inside the batch is the WAL order. On a write or sync error the
 // file is rolled back to the pre-batch line boundary, so a failed batch
 // leaves no partial ops behind and may be retried op by op; once the
@@ -491,6 +498,9 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 	}
 	fs.walSize += int64(buf.Len())
 	fs.walOps += len(wops)
+	if fs.syncHook != nil {
+		fs.syncHook(len(wops))
+	}
 	var firstErr error
 	for _, w := range wops {
 		if err := fs.applyLocked(w); err != nil && firstErr == nil {

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -510,11 +509,10 @@ func TestSegmentGapFailsLoudly(t *testing.T) {
 	}
 }
 
-// TestGroupCommitSyncAcrossCompaction layers the async writer over the
-// file store and checks Sync(ctx) durability barriers hold while a
-// throttled compaction runs underneath: every acked record survives a
-// reopen.
-func TestGroupCommitSyncAcrossCompaction(t *testing.T) {
+// TestApplyOpsAcrossCompaction checks the batched WAL append while a
+// throttled compaction folds sealed segments underneath: every batch
+// ApplyOps acknowledged survives a reopen.
+func TestApplyOpsAcrossCompaction(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := OpenConfig(dir, FileConfig{CompactOps: 24})
 	if err != nil {
@@ -528,23 +526,24 @@ func TestGroupCommitSyncAcrossCompaction(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 		}
 	}
-	g := NewGroupCommit(fs, GroupCommitConfig{MaxBatch: 8})
-	const total = 120
-	for i := 0; i < total; i++ {
-		if err := g.PutJob(irec(fmt.Sprintf("job-%03d", i), uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
-			t.Fatal(err)
+	// Twelve jobs rewritten ten times each: the churn crosses the
+	// op-count trigger (ops > 4x live records) mid-stream.
+	const total, live, batchSize = 120, 12, 8
+	for i := 0; i < total; i += batchSize {
+		ops := make([]Op, 0, batchSize)
+		for k := i; k < i+batchSize; k++ {
+			r := irec(fmt.Sprintf("job-%02d", k%live), uint64(k+1), fmt.Sprintf(`{"round":%d}`, k))
+			ops = append(ops, Op{Kind: OpPutJob, Rec: &r})
 		}
-		if i%10 == 9 {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			err := g.Sync(ctx)
-			cancel()
-			if err != nil {
-				t.Fatalf("Sync during compaction: %v", err)
-			}
+		if err := fs.ApplyOps(ops); err != nil {
+			t.Fatalf("ApplyOps during compaction: %v", err)
 		}
 	}
+	if cs := fs.CompactionStats(); cs.Compactions == 0 && !cs.Running {
+		t.Fatalf("no compaction ran under the batches: %+v", cs)
+	}
 	close(release)
-	if err := g.Close(); err != nil {
+	if err := fs.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -557,7 +556,68 @@ func TestGroupCommitSyncAcrossCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Jobs) != total {
-		t.Fatalf("recovered %d jobs, acked %d — durability barrier leaked across compaction", len(snap.Jobs), total)
+	if len(snap.Jobs) != live {
+		t.Fatalf("recovered %d jobs, want %d", len(snap.Jobs), live)
+	}
+	for _, j := range snap.Jobs {
+		var k int
+		fmt.Sscanf(j.ID, "job-%d", &k)
+		last := total - live + k // the final round that rewrote job k
+		if want := fmt.Sprintf(`{"round":%d}`, last); string(j.Result) != want || j.Seq != uint64(last+1) {
+			t.Fatalf("%s recovered as seq %d %s, want its last acked write seq %d %s — a batch leaked across compaction",
+				j.ID, j.Seq, j.Result, last+1, want)
+		}
+	}
+}
+
+// TestGroupCommitBatches proves the batched append actually groups: a
+// whole ApplyOps batch is made durable by ONE fsync, however many ops
+// it carries, while the single-op methods still pay one fsync apiece.
+func TestGroupCommitBatches(t *testing.T) {
+	dir := t.TempDir()
+	fs, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var barriers []int
+	fs.syncHook = func(ops int) { barriers = append(barriers, ops) }
+	batch := func(from, n int) []Op {
+		ops := make([]Op, n)
+		for i := range ops {
+			r := irec(fmt.Sprintf("job-%03d", from+i), uint64(from+i+1), "")
+			ops[i] = Op{Kind: OpPutJob, Rec: &r}
+		}
+		return ops
+	}
+	if err := fs.ApplyOps(batch(0, 200)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 200; i < 400; i += 50 {
+		if err := fs.ApplyOps(batch(i, 50)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 400; i < 403; i++ {
+		if err := fs.PutJob(irec(fmt.Sprintf("job-%03d", i), uint64(i+1), "")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []int{200, 50, 50, 50, 50, 1, 1, 1}; fmt.Sprint(barriers) != fmt.Sprint(want) {
+		t.Fatalf("fsync barriers covered %v ops, want %v", barriers, want)
+	}
+	again, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	snap, err := again.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Jobs) != 403 {
+		t.Fatalf("reopened store holds %d jobs, want 403", len(snap.Jobs))
 	}
 }

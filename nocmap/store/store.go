@@ -144,19 +144,9 @@ func (op Op) wal() walOp {
 	return walOp{Op: string(op.Kind), Job: op.Rec, ID: op.ID, Key: op.Key, Result: op.Result}
 }
 
-// copyOp deep-copies an op so the store may hold it past the call.
-func copyOp(op Op) Op {
-	if op.Rec != nil {
-		r := copyRecord(*op.Rec)
-		op.Rec = &r
-	}
-	op.Result = rawCopy(op.Result)
-	return op
-}
-
-// BatchStore is the group-commit fast path: a JobStore that can apply
-// many mutations under a single durability barrier (one fsync for a
-// FileStore). Order within the batch is preserved exactly; on error the
+// BatchStore is a JobStore that can apply many mutations under a single
+// durability barrier (one fsync for a FileStore); the nocmap/server
+// outbox flusher hands it each drained batch whole. Order within the batch is preserved exactly; on error the
 // whole batch is rolled back where the implementation can (FileStore
 // truncates to the last whole pre-batch line), so callers may safely
 // retry op by op. Implementations must serialize ApplyOps against the

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
-# Service-level load benchmark: boot a durable nocmapd once per store
-# mode ("group": the async group-commit writer; "sync": the
-# fsync-per-record baseline), drive each with cmd/nocmapload's seeded
-# deterministic request stream at a sustained rate, and record jobs/sec
-# + P50/P85/P99 latency into BENCH.json's "service" section. The result
-# cache is disabled so every request exercises the store write path —
-# the regime the two modes differ in — and the store runs behind a 1ms
-# injected fsync latency so the disk cost is a realistic SSD's rather
-# than the CI host's page cache: with it, the sync baseline saturates
-# near 1000 records/sec while group commit amortizes the same disk
-# across whole batches. `make bench-service` runs this;
-# `make bench-service-gate` adds the XmR control-chart check on top.
+# Service-level load benchmark: boot one durable nocmapd, drive it with
+# cmd/nocmapload's seeded deterministic request stream at a sustained
+# rate, and record jobs/sec + P50/P85/P99 latency into BENCH.json's
+# "service" section under the name "solve-group" (the server outbox's
+# group commit: many records per fsync). The result cache is disabled
+# so every request exercises the store write path, and the store runs
+# behind a 1ms injected fsync latency so the disk cost is a realistic
+# SSD's rather than the CI host's page cache. `make bench-service`
+# runs this; `make bench-service-gate` adds the XmR control-chart
+# check on top.
 #
 #   scripts/bench_service.sh [RPS] [DURATION] [OUT]
 set -euo pipefail
@@ -45,18 +43,15 @@ echo "== build"
 go build -o "$bin" ./cmd/nocmapd
 go build -o "$loadbin" ./cmd/nocmapload
 
-for mode in group sync; do
-    echo "== bench-service: store-mode=$mode rps=$rps duration=$duration"
-    storedir="$workdir/store-$mode"
-    log="$workdir/nocmapd-$mode.log"
-    "$bin" -addr 127.0.0.1:0 -store "$storedir" -store-mode "$mode" \
-        -store-fault latency=1ms -cache -1 >"$log" 2>&1 &
-    server_pid=$!
-    base=$(wait_addr "$log" "$server_pid")
-    "$loadbin" -url "$base" -rps "$rps" -duration "$duration" \
-        -name "solve-$mode" -store-mode "$mode" -out "$out"
-    kill "$server_pid" 2>/dev/null || true
-    wait "$server_pid" 2>/dev/null || true
-    server_pid=""
-done
+echo "== bench-service: rps=$rps duration=$duration"
+log="$workdir/nocmapd.log"
+"$bin" -addr 127.0.0.1:0 -store "$workdir/store" \
+    -store-fault latency=1ms -cache -1 >"$log" 2>&1 &
+server_pid=$!
+base=$(wait_addr "$log" "$server_pid")
+"$loadbin" -url "$base" -rps "$rps" -duration "$duration" \
+    -name solve-group -out "$out"
+kill "$server_pid" 2>/dev/null || true
+wait "$server_pid" 2>/dev/null || true
+server_pid=""
 echo "== bench-service: recorded into $out"
