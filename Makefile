@@ -62,7 +62,7 @@ bench-service-gate: bench-service
 
 # Store-level large-volume benchmark: seed a multi-thousand-record
 # FileStore, force a throttled multi-second compaction pass, and gate
-# p99 single-op append latency DURING the pass at <= 2x the idle
+# p99 one-op-batch append latency DURING the pass at <= 2x the idle
 # baseline (plus record the run into BENCH.json's "store" section).
 # Proves appends never stall behind snapshot IO. CI runs this.
 bench-store-compact:

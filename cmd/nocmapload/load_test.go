@@ -100,7 +100,6 @@ func TestServiceEntryGolden(t *testing.T) {
 	res := ServiceResult{
 		Name:      "solve-group",
 		Timestamp: "2026-08-08T12:00:00Z",
-		StoreMode: "group",
 		Seed:      1,
 		Spec:      testSpec(),
 		TargetRPS: 200,

@@ -43,7 +43,6 @@ func main() {
 	algorithm := flag.String("algorithm", "nmap-single", "solve algorithm to request")
 	durability := flag.String("durability", "", `submission durability class ("" async, "replicated")`)
 	name := flag.String("name", "solve", "BENCH.json entry name; runs sharing a name form one gate history")
-	storeMode := flag.String("store-mode", "", `annotation for the server's write path ("group", "sync")`)
 	out := flag.String("out", "BENCH.json", "record the run here (empty: print only)")
 	history := flag.Int("history", 20, "runs kept per name in the BENCH.json history")
 	dump := flag.Bool("dump", false, "print the generated request stream to stdout and exit (no server)")
@@ -85,7 +84,6 @@ func main() {
 	res := runLoad(*url, bodies, *rps, *duration, *concurrency)
 	res.Name = *name
 	res.Timestamp = time.Now().UTC().Format(time.RFC3339)
-	res.StoreMode = *storeMode
 	res.Seed = *seed
 	res.Spec = spec
 	res.TargetRPS = *rps

@@ -20,10 +20,7 @@ type ServiceResult struct {
 	Name string `json:"name"`
 	// Timestamp is the run's RFC3339 wall-clock time (informational;
 	// excluded from all determinism guarantees).
-	Timestamp string `json:"timestamp,omitempty"`
-	// StoreMode annotates which nocmapd write path served the run
-	// ("group", "sync", "" when unknown/memory-only).
-	StoreMode string       `json:"store_mode,omitempty"`
+	Timestamp string       `json:"timestamp,omitempty"`
 	Seed      int64        `json:"seed"`
 	Spec      WorkloadSpec `json:"spec"`
 	// TargetRPS is the offered load; DurationS the sustained window.

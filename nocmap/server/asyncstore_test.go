@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -18,7 +19,7 @@ import (
 // hands down, in order — the probe the batching and WAL-order tests
 // read flush granularity and write order from.
 type batchCountingStore struct {
-	store.BatchStore
+	store.JobStore
 
 	// before, when set, runs at the start of every ApplyOps with the
 	// batch's index: the hook tests park the flusher or arm faults from.
@@ -36,7 +37,7 @@ func (b *batchCountingStore) ApplyOps(ops []store.Op) error {
 	if b.before != nil {
 		b.before(n)
 	}
-	return b.BatchStore.ApplyOps(ops)
+	return b.JobStore.ApplyOps(ops)
 }
 
 // parkFirstBatch makes the flusher's first ApplyOps signal entered and
@@ -159,7 +160,7 @@ func TestSlowDiskDoesNotBlockReads(t *testing.T) {
 // restored jobs must hand ALL the drops to the store as one batch.
 func TestReplayEvictionFlushesOnce(t *testing.T) {
 	const seeded, retention = 30, 8
-	bs := &batchCountingStore{BatchStore: store.NewMemStore()}
+	bs := &batchCountingStore{JobStore: store.NewMemStore()}
 	for i := 0; i < seeded; i++ {
 		rec := store.JobRecord{
 			ID:    "p0-job-" + string(rune('a'+i/10)) + string(rune('a'+i%10)),
@@ -167,7 +168,7 @@ func TestReplayEvictionFlushesOnce(t *testing.T) {
 			State: store.StateDone,
 			Seq:   uint64(i + 1),
 		}
-		if err := bs.PutJob(rec); err != nil {
+		if err := bs.ApplyOps([]store.Op{{Kind: store.OpJob, Rec: &rec}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -183,7 +184,7 @@ func TestReplayEvictionFlushesOnce(t *testing.T) {
 		for _, batch := range bs.snapshotBatches() {
 			n := 0
 			for _, op := range batch {
-				if op.Kind == store.OpDeleteJob {
+				if op.Kind == store.OpDelJob {
 					n++
 				}
 			}
@@ -279,7 +280,7 @@ func postJob(base string, body []byte) (string, error) {
 // the store as ONE batch once the disk frees up.
 func TestStoreWritesFollowLockOrder(t *testing.T) {
 	park, entered, release := parkFirstBatch()
-	bs := &batchCountingStore{BatchStore: store.NewMemStore(), before: park}
+	bs := &batchCountingStore{JobStore: store.NewMemStore(), before: park}
 	svc, ts := newConfiguredServer(t, server.Config{
 		Pool: 2, QueueSize: 256, CacheSize: 8, Store: bs,
 	})
@@ -341,7 +342,7 @@ func TestStoreWritesFollowLockOrder(t *testing.T) {
 	)
 	for b, batch := range batches {
 		for i, op := range batch {
-			if op.Kind != store.OpPutJob {
+			if op.Kind != store.OpJob {
 				continue
 			}
 			r := op.Rec
@@ -382,14 +383,14 @@ func TestStoreWritesFollowLockOrder(t *testing.T) {
 }
 
 // TestStoreBatchFailureLosesOnlyTheBadOp pins the flusher's failure
-// isolation: when a batch barrier fails, the batch is retried op by op,
-// so one bad op is lost and counted in StoreErrors while every op
+// isolation: when a batch barrier fails, the batch is retried op by op
+// as one-op batches, so one bad op is lost and counted in StoreErrors while every op
 // behind it in the same batch still lands.
 func TestStoreBatchFailureLosesOnlyTheBadOp(t *testing.T) {
 	mem := store.NewMemStore()
 	fault := store.NewFaultStore(mem)
 	park, entered, release := parkFirstBatch()
-	bs := &batchCountingStore{BatchStore: fault, before: func(batch int) {
+	bs := &batchCountingStore{JobStore: fault, before: func(batch int) {
 		park(batch)
 		if batch == 1 {
 			// Fail this batch's barrier, then the first op-by-op retry.
@@ -409,9 +410,18 @@ func TestStoreBatchFailureLosesOnlyTheBadOp(t *testing.T) {
 		return svc.Stats().StorePending == 0
 	})
 	batches := bs.snapshotBatches()
-	if len(batches) != 2 || len(batches[1]) < 3 {
-		t.Fatalf("batches = %d (second of %d ops), want the parked one plus one of >= 3 ops",
-			len(batches), len(batches[len(batches)-1]))
+	if len(batches) < 2 || len(batches[1]) < 3 {
+		t.Fatalf("batches = %d, want the parked one plus one of >= 3 ops", len(batches))
+	}
+	// The failed batch is retried op by op, each op a one-op batch.
+	retries := batches[2:]
+	if len(retries) != len(batches[1]) {
+		t.Fatalf("%d retry batches after a %d-op failed batch, want one per op", len(retries), len(batches[1]))
+	}
+	for i, r := range retries {
+		if len(r) != 1 || !reflect.DeepEqual(r[0], batches[1][i]) {
+			t.Fatalf("retry %d = %+v, want the one op %+v", i, r, batches[1][i])
+		}
 	}
 	if got := svc.Stats().StoreErrors; got != 1 {
 		t.Fatalf("StoreErrors = %d, want 1", got)

@@ -14,7 +14,7 @@ import (
 
 // recordOf flattens a job into its persisted form. Terminal records
 // carry the outcome but drop the problem and spec — replay never
-// re-runs them, and the terminal PutJob overwrites the queued record,
+// re-runs them, and the terminal job put overwrites the queued record,
 // so keeping them would only re-write the full canonical problem JSON
 // into the WAL a second time. Callers hold s.mu.
 func (s *Server) recordOf(j *job, seq uint64) store.JobRecord {
@@ -54,7 +54,7 @@ func (s *Server) persistJob(j *job) {
 	rec := s.recordOf(j, j.seq)
 	if s.cfg.Store != nil {
 		r := rec
-		s.enqueueOpLocked(store.Op{Kind: store.OpPutJob, Rec: &r})
+		s.enqueueOpLocked(store.Op{Kind: store.OpJob, Rec: &r})
 	}
 	s.rep.enqueue(rec)
 }
@@ -67,7 +67,7 @@ func (s *Server) persistCachePut(key string, result json.RawMessage) {
 	if s.cfg.Store == nil || s.cache.cap <= 0 {
 		return
 	}
-	s.enqueueOpLocked(store.Op{Kind: store.OpPutCache, Key: key, Result: result})
+	s.enqueueOpLocked(store.Op{Kind: store.OpCache, Key: key, Result: result})
 }
 
 // dropPersistedJob forgets a retention-evicted job in the store, so a
@@ -77,7 +77,7 @@ func (s *Server) persistCachePut(key string, result json.RawMessage) {
 // dozens of jobs in one critical section lands as one batched flush,
 // not dozens of fsyncs. Callers hold s.mu.
 func (s *Server) dropPersistedJob(id string) {
-	s.enqueueOpLocked(store.Op{Kind: store.OpDeleteJob, ID: id})
+	s.enqueueOpLocked(store.Op{Kind: store.OpDelJob, ID: id})
 	s.rep.enqueueDelete(id)
 }
 
@@ -89,7 +89,7 @@ func (s *Server) dropReplicaLocked(id string) {
 	}
 	delete(s.replicas, id)
 	delete(s.replicaDirty, id)
-	s.enqueueOpLocked(store.Op{Kind: store.OpDeleteReplica, ID: id})
+	s.enqueueOpLocked(store.Op{Kind: store.OpDelReplica, ID: id})
 }
 
 // replay loads the configured store and rebuilds the pre-restart world:

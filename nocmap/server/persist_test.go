@@ -130,12 +130,8 @@ func TestReplayReenqueuesInterruptedJobs(t *testing.T) {
 		"job-00000004": store.StateQueued,
 		"job-00000007": store.StateRunning,
 	} {
-		if err := ms.PutJob(store.JobRecord{
-			ID:      id,
-			Problem: problem,
-			Spec:    spec,
-			State:   state,
-		}); err != nil {
+		rec := store.JobRecord{ID: id, Problem: problem, Spec: spec, State: state}
+		if err := ms.ApplyOps([]store.Op{{Kind: store.OpJob, Rec: &rec}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -383,7 +379,7 @@ func TestStatsSurfaceCompaction(t *testing.T) {
 	// server persists to, then wait for the pass to publish.
 	for i := 0; i < 48; i++ {
 		rec := store.JobRecord{ID: "churn", Key: "churn", State: store.StateDone, Seq: uint64(i + 1)}
-		if err := fault.PutJob(rec); err != nil {
+		if err := fault.ApplyOps([]store.Op{{Kind: store.OpJob, Rec: &rec}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -641,7 +641,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			// too, storeOpFailed re-marks it before syncStore returns.
 			delete(s.replicaDirty, rec.ID)
 			rc := rec
-			s.enqueueOpLocked(store.Op{Kind: store.OpPutReplica, Rec: &rc})
+			s.enqueueOpLocked(store.Op{Kind: store.OpReplica, Rec: &rc})
 		}
 		touched = append(touched, rec.ID)
 		applied++
@@ -652,7 +652,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 		}
 		delete(s.replicas, id)
 		delete(s.replicaDirty, id)
-		s.enqueueOpLocked(store.Op{Kind: store.OpDeleteReplica, ID: id})
+		s.enqueueOpLocked(store.Op{Kind: store.OpDelReplica, ID: id})
 		applied++
 	}
 	// Dirty replicas — applied in memory but refused by the store on an
@@ -667,7 +667,7 @@ func (s *Server) handleReplicate(w http.ResponseWriter, r *http.Request) {
 			}
 			delete(s.replicaDirty, id) // re-marked by storeOpFailed on failure
 			rc := rec
-			s.enqueueOpLocked(store.Op{Kind: store.OpPutReplica, Rec: &rc})
+			s.enqueueOpLocked(store.Op{Kind: store.OpReplica, Rec: &rc})
 			touched = append(touched, id)
 		}
 	}

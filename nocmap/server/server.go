@@ -246,7 +246,7 @@ func New(cfg Config) (*Server, error) {
 		// LRU eviction fires under mu; the delete rides the outbox like
 		// every other store write.
 		s.cache.onEvict = func(key string) {
-			s.enqueueOpLocked(store.Op{Kind: store.OpDeleteCache, Key: key})
+			s.enqueueOpLocked(store.Op{Kind: store.OpDelCache, Key: key})
 		}
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -497,20 +497,16 @@ func (s *Server) persistLoop() {
 	}
 }
 
-// applyStoreOps hands one outbox batch to the store, outside every
-// server lock. Batch-capable stores take it whole (one durability
-// barrier); on a batch error, or for plain stores, the ops run one by
-// one so a single bad op cannot condemn the records around it.
+// applyStoreOps hands one outbox batch to the store whole (one
+// durability barrier), outside every server lock. On a batch error the
+// store has rolled the batch back, so the ops are retried one by one
+// and a single bad op cannot condemn the records around it.
 func (s *Server) applyStoreOps(batch []store.Op) {
-	if bs, ok := s.cfg.Store.(store.BatchStore); ok {
-		if err := bs.ApplyOps(batch); err == nil {
-			return
-		}
-		// The store rolled the batch back; retry op by op to isolate
-		// the failure.
+	if err := s.cfg.Store.ApplyOps(batch); err == nil {
+		return
 	}
 	for _, op := range batch {
-		if err := store.ApplyOp(s.cfg.Store, op); err != nil {
+		if err := s.cfg.Store.ApplyOps([]store.Op{op}); err != nil {
 			s.storeOpFailed(op, err)
 		}
 	}
@@ -524,7 +520,7 @@ func (s *Server) storeOpFailed(op store.Op, err error) {
 	_ = err // the stats counter is the signal; the server keeps serving
 	s.mu.Lock()
 	s.stats.StoreErrors++
-	if op.Kind == store.OpPutReplica && op.Rec != nil {
+	if op.Kind == store.OpReplica && op.Rec != nil {
 		if _, ok := s.replicas[op.Rec.ID]; ok {
 			s.replicaDirty[op.Rec.ID] = true
 		}

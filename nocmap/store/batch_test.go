@@ -16,76 +16,36 @@ import (
 	"repro/nocmap/store"
 )
 
-// plainStore hides a store's ApplyOps behind the bare JobStore
-// interface, so wrappers see a store without a batch fast path.
-type plainStore struct{ store.JobStore }
-
 // mixedBatch carries one op of every kind, in an order where each later
 // op depends on an earlier one (a delete after its put).
 func mixedBatch() []store.Op {
 	job, gone := rec("job-a", store.StateDone, 1), rec("job-b", store.StateQueued, 0)
 	rep, repGone := rec("rep-a", store.StateDone, 1), rec("rep-b", store.StateDone, 2)
 	return []store.Op{
-		{Kind: store.OpPutJob, Rec: &job},
-		{Kind: store.OpPutJob, Rec: &gone},
-		{Kind: store.OpDeleteJob, ID: "job-b"},
-		{Kind: store.OpPutCache, Key: "k1", Result: json.RawMessage(`{"v":1}`)},
-		{Kind: store.OpPutCache, Key: "k2", Result: json.RawMessage(`{"v":2}`)},
-		{Kind: store.OpDeleteCache, Key: "k1"},
-		{Kind: store.OpPutReplica, Rec: &rep},
-		{Kind: store.OpPutReplica, Rec: &repGone},
-		{Kind: store.OpDeleteReplica, ID: "rep-b"},
-	}
-}
-
-// TestApplyOpMatchesApplyOps pins the per-op retry path the server's
-// flusher falls back to after a failed batch: routing every op kind
-// through ApplyOp — here via a FaultStore's single-op methods — must
-// leave exactly the state the batch fast path leaves.
-func TestApplyOpMatchesApplyOps(t *testing.T) {
-	batched := store.NewMemStore()
-	if err := batched.ApplyOps(mixedBatch()); err != nil {
-		t.Fatal(err)
-	}
-	single := store.NewMemStore()
-	fault := store.NewFaultStore(single)
-	for _, op := range mixedBatch() {
-		if err := store.ApplyOp(fault, op); err != nil {
-			t.Fatalf("ApplyOp(%s): %v", op.Kind, err)
-		}
-	}
-	want, _ := batched.Load()
-	got, _ := single.Load()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("op-by-op state diverged from the batch:\n got %+v\nwant %+v", got, want)
-	}
-	for _, bad := range []store.Op{
-		{Kind: store.OpPutJob},
-		{Kind: store.OpPutReplica},
-		{Kind: "bogus"},
-	} {
-		if err := store.ApplyOp(fault, bad); err == nil {
-			t.Fatalf("ApplyOp(%+v) succeeded, want an error", bad)
-		}
-	}
-	if err := batched.ApplyOps([]store.Op{{Kind: "bogus"}}); err == nil {
-		t.Fatal("MemStore.ApplyOps accepted an unknown op kind")
+		{Kind: store.OpJob, Rec: &job},
+		{Kind: store.OpJob, Rec: &gone},
+		{Kind: store.OpDelJob, ID: "job-b"},
+		{Kind: store.OpCache, Key: "k1", Result: json.RawMessage(`{"v":1}`)},
+		{Kind: store.OpCache, Key: "k2", Result: json.RawMessage(`{"v":2}`)},
+		{Kind: store.OpDelCache, Key: "k1"},
+		{Kind: store.OpReplica, Rec: &rep},
+		{Kind: store.OpReplica, Rec: &repGone},
+		{Kind: store.OpDelReplica, ID: "rep-b"},
 	}
 }
 
 // TestFaultStoreBatchIsOneFault pins FaultStore's batch granularity: a
-// whole ApplyOps is one op against the fault dials, also over an inner
-// store without a batch fast path (applied op by op inside the single
-// fault window), and a clean fault leaves nothing behind.
+// whole ApplyOps is one call against the fault dials, and a clean fault
+// leaves nothing behind.
 func TestFaultStoreBatchIsOneFault(t *testing.T) {
 	mem := store.NewMemStore()
-	fault := store.NewFaultStore(plainStore{mem})
+	fault := store.NewFaultStore(mem)
 	fault.FailEvery(2)
 	if err := fault.ApplyOps(mixedBatch()); err != nil {
 		t.Fatalf("first batch (op 1 against fail-every=2): %v", err)
 	}
 	late := rec("job-late", store.StateDone, 9)
-	if err := fault.ApplyOps([]store.Op{{Kind: store.OpPutJob, Rec: &late}}); !errors.Is(err, store.ErrInjected) {
+	if err := fault.ApplyOps([]store.Op{{Kind: store.OpJob, Rec: &late}}); !errors.Is(err, store.ErrInjected) {
 		t.Fatalf("second batch err = %v, want ErrInjected", err)
 	}
 	if got := fault.Injected(); got != 1 {
@@ -118,13 +78,62 @@ func TestFaultStoreTornBatch(t *testing.T) {
 		t.Fatalf("torn batch did not reach the store before the error: %+v", landed)
 	}
 	for _, op := range batch {
-		if err := store.ApplyOp(fault, op); err != nil {
+		if err := one(fault, op); err != nil {
 			t.Fatalf("retry %s: %v", op.Kind, err)
 		}
 	}
 	retried, _ := mem.Load()
 	if !reflect.DeepEqual(retried, landed) {
 		t.Fatalf("retrying a torn batch changed the state:\n got %+v\nwant %+v", retried, landed)
+	}
+}
+
+// TestRejectedBatchLeavesStoreUnchanged pins the all-or-nothing
+// validation contract on every store: a batch whose LAST op is invalid
+// is rejected before any of its ops is written or applied.
+func TestRejectedBatchLeavesStoreUnchanged(t *testing.T) {
+	kept, a := rec("job-kept", store.StateDone, 1), rec("job-a", store.StateDone, 2)
+	for _, st := range []struct {
+		name string
+		open func(t *testing.T) store.JobStore
+	}{
+		{"mem", func(*testing.T) store.JobStore { return store.NewMemStore() }},
+		{"file", func(t *testing.T) store.JobStore {
+			fs, err := store.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fs
+		}},
+		{"fault-over-mem", func(*testing.T) store.JobStore { return store.NewFaultStore(store.NewMemStore()) }},
+	} {
+		for _, bad := range []store.Op{
+			{Kind: store.OpCache, Key: ""},
+			{Kind: store.OpJob},
+			{Kind: store.OpReplica, Rec: &store.JobRecord{}},
+			{Kind: "bogus"},
+		} {
+			t.Run(st.name+"/"+string(bad.Kind), func(t *testing.T) {
+				s := st.open(t)
+				defer s.Close()
+				if err := one(s, jobOp(kept)); err != nil {
+					t.Fatal(err)
+				}
+				before, _ := s.Load()
+				batch := []store.Op{
+					jobOp(a),
+					{Kind: store.OpCache, Key: "k", Result: json.RawMessage(`1`)},
+					{Kind: store.OpDelJob, ID: "job-kept"},
+					bad,
+				}
+				if err := s.ApplyOps(batch); err == nil {
+					t.Fatalf("batch ending in %+v was accepted", bad)
+				}
+				if after, _ := s.Load(); !reflect.DeepEqual(after, before) {
+					t.Fatalf("rejected batch changed the store:\n got %+v\nwant %+v", after, before)
+				}
+			})
+		}
 	}
 }
 
@@ -144,7 +153,7 @@ func TestApplyOpsCrashPrefix(t *testing.T) {
 		ops := make([]store.Op, 0, batchSize)
 		for k := i; k < i+batchSize; k++ {
 			r := rec(fmt.Sprintf("job-%03d", k), store.StateDone, uint64(k+1))
-			ops = append(ops, store.Op{Kind: store.OpPutJob, Rec: &r})
+			ops = append(ops, store.Op{Kind: store.OpJob, Rec: &r})
 		}
 		if err := fs.ApplyOps(ops); err != nil {
 			t.Fatal(err)
@@ -233,7 +242,7 @@ func putJobs(ids ...string) []store.Op {
 	ops := make([]store.Op, len(ids))
 	for i, id := range ids {
 		r := rec(id, store.StateDone, uint64(i+1))
-		ops[i] = store.Op{Kind: store.OpPutJob, Rec: &r}
+		ops[i] = store.Op{Kind: store.OpJob, Rec: &r}
 	}
 	return ops
 }

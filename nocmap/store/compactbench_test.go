@@ -18,7 +18,7 @@ type storeBenchResult struct {
 	Name      string `json:"name"`
 	Timestamp string `json:"timestamp,omitempty"`
 	// Records is the snapshot volume the compactor streamed; Appends
-	// the number of single-op appends measured in each phase.
+	// the number of one-op-batch appends measured in each phase.
 	Records int `json:"records"`
 	Appends int `json:"appends"`
 	// CompactionMs is how long the forced pass ran — the window the
@@ -63,7 +63,7 @@ func usPercentile(sorted []float64, q float64) float64 {
 // TestAppendLatencyDuringCompaction is the large-volume store
 // benchmark (make bench-store-compact): it seeds a big state, forces a
 // throttled compaction pass that streams the whole snapshot over a
-// multi-second window, and measures single-op append latency while the
+// multi-second window, and measures one-op-batch append latency while the
 // pass runs. The off-writer-path design's acceptance gate: p99 append
 // latency during compaction within 2x the no-compaction baseline —
 // under the old design the full snapshot write ran under fs.mu and the
@@ -100,7 +100,7 @@ func TestAppendLatencyDuringCompaction(t *testing.T) {
 	for i := 0; i < records; i++ {
 		r := irec(fmt.Sprintf("seed-%06d", i), uint64(i+1), pad)
 		r2 := r
-		seed = append(seed, Op{Kind: OpPutJob, Rec: &r2})
+		seed = append(seed, Op{Kind: OpJob, Rec: &r2})
 		if len(seed) == 256 || i == records-1 {
 			if err := fs.ApplyOps(seed); err != nil {
 				t.Fatal(err)
@@ -114,7 +114,7 @@ func TestAppendLatencyDuringCompaction(t *testing.T) {
 		for i := 0; i < n; i++ {
 			rec := irec(fmt.Sprintf("bench-%s", phase), uint64(i+1), `{"r":1}`)
 			start := time.Now()
-			if err := fs.PutJob(rec); err != nil {
+			if err := one(fs, jobOp(rec)); err != nil {
 				t.Fatalf("%s append %d: %v", phase, i, err)
 			}
 			lats = append(lats, float64(time.Since(start).Microseconds()))
@@ -156,7 +156,7 @@ func TestAppendLatencyDuringCompaction(t *testing.T) {
 		}
 		rec := irec("bench-during", uint64(i+1), `{"r":1}`)
 		start := time.Now()
-		if err := fs.PutJob(rec); err != nil {
+		if err := one(fs, jobOp(rec)); err != nil {
 			t.Fatalf("during append %d: %v", i, err)
 		}
 		if fs.CompactionStats().Running { // attribute only fully-inside samples

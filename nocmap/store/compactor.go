@@ -42,7 +42,7 @@ func (fs *FileStore) CompactionStats() CompactionStats {
 		Compactions:  fs.compactions,
 		Running:      fs.compacting,
 		Segments:     fs.segments,
-		PendingOps:   fs.sealedOps + fs.walOps,
+		PendingOps:   fs.sealedOps + fs.walLines,
 		PendingBytes: fs.sealedSize + fs.walSize,
 		Errors:       fs.compactErrs,
 		LastError:    fs.lastCompactErr,

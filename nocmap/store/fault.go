@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strconv"
@@ -16,21 +15,21 @@ import (
 var ErrInjected = errors.New("store: injected fault")
 
 // FaultStore wraps a JobStore and injects disk-style faults into its
-// mutating operations — the test harness the chaos suite uses to prove
+// ApplyOps calls — the test harness the chaos suite uses to prove
 // the server keeps serving (with Stats.StoreErrors counting the
 // degradation) when fsyncs fail, writes tear or the disk is slow.
 //
 // Three independent fault dials, all safe to adjust while the store is
 // in use:
 //
-//   - FailEvery(n): every n-th mutating op returns ErrInjected. With
-//     torn writes off, the op does not reach the inner store (a clean
-//     fsync failure: nothing durable happened). With SetTorn(true), the
-//     op is applied first and the error returned anyway — a write that
-//     reached the disk but whose acknowledgment was lost, the case
-//     replay idempotency must absorb.
-//   - FailNext(n): the next n mutating ops fail, then the store heals.
-//   - SetLatency(d): every mutating op sleeps d first (a slow disk).
+//   - FailEvery(n): every n-th ApplyOps call returns ErrInjected. With
+//     torn writes off, the batch does not reach the inner store (a
+//     clean fsync failure: nothing durable happened). With
+//     SetTorn(true), the batch is applied first and the error returned
+//     anyway — a write that reached the disk but whose acknowledgment
+//     was lost, the case replay idempotency must absorb.
+//   - FailNext(n): the next n ApplyOps calls fail, then the store heals.
+//   - SetLatency(d): every ApplyOps call sleeps d first (a slow disk).
 //
 // Load and Close always pass through: boot must be able to read what
 // the faults left behind.
@@ -38,10 +37,10 @@ type FaultStore struct {
 	inner JobStore
 
 	mu        sync.Mutex
-	ops       uint64        // mutating ops seen
-	failEvery uint64        // every n-th op fails (0: off)
-	failNext  int           // the next n ops fail
-	latency   time.Duration // pre-op delay
+	calls     uint64        // ApplyOps calls seen
+	failEvery uint64        // every n-th call fails (0: off)
+	failNext  int           // the next n calls fail
+	latency   time.Duration // pre-call delay
 	torn      bool          // apply before failing
 	injected  uint64        // faults injected so far
 }
@@ -51,7 +50,7 @@ func NewFaultStore(inner JobStore) *FaultStore {
 	return &FaultStore{inner: inner}
 }
 
-// FailEvery makes every n-th mutating operation fail (0 disables).
+// FailEvery makes every n-th ApplyOps call fail (0 disables).
 func (f *FaultStore) FailEvery(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -61,22 +60,22 @@ func (f *FaultStore) FailEvery(n int) {
 	f.failEvery = uint64(n)
 }
 
-// FailNext makes the next n mutating operations fail.
+// FailNext makes the next n ApplyOps calls fail.
 func (f *FaultStore) FailNext(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.failNext = n
 }
 
-// SetLatency delays every mutating operation by d.
+// SetLatency delays every ApplyOps call by d.
 func (f *FaultStore) SetLatency(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.latency = d
 }
 
-// SetTorn switches injected failures to torn-write mode: the inner op
-// is applied before the error is returned.
+// SetTorn switches injected failures to torn-write mode: the inner
+// batch is applied before the error is returned.
 func (f *FaultStore) SetTorn(torn bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -90,16 +89,20 @@ func (f *FaultStore) Injected() uint64 {
 	return f.injected
 }
 
-// do runs one mutating op through the fault dials.
-func (f *FaultStore) do(op func() error) error {
+// ApplyOps implements JobStore. The whole batch is ONE call against
+// the fault dials — faults are modeled at fsync granularity, which is
+// exactly what a batch is. A clean fault fails the batch before it
+// reaches the inner store; a torn fault applies it first and loses the
+// acknowledgment.
+func (f *FaultStore) ApplyOps(ops []Op) error {
 	f.mu.Lock()
 	delay := f.latency
-	f.ops++
+	f.calls++
 	fail := false
 	if f.failNext > 0 {
 		f.failNext--
 		fail = true
-	} else if f.failEvery > 0 && f.ops%f.failEvery == 0 {
+	} else if f.failEvery > 0 && f.calls%f.failEvery == 0 {
 		fail = true
 	}
 	torn := f.torn
@@ -114,7 +117,7 @@ func (f *FaultStore) do(op func() error) error {
 	if fail && !torn {
 		return ErrInjected
 	}
-	err := op()
+	err := f.inner.ApplyOps(ops)
 	if fail {
 		if err != nil {
 			return fmt.Errorf("%w (and inner: %v)", ErrInjected, err)
@@ -122,85 +125,6 @@ func (f *FaultStore) do(op func() error) error {
 		return ErrInjected
 	}
 	return err
-}
-
-// PutJob implements JobStore.
-func (f *FaultStore) PutJob(rec JobRecord) error {
-	return f.do(func() error { return f.inner.PutJob(rec) })
-}
-
-// DeleteJob implements JobStore.
-func (f *FaultStore) DeleteJob(id string) error {
-	return f.do(func() error { return f.inner.DeleteJob(id) })
-}
-
-// PutCache implements JobStore.
-func (f *FaultStore) PutCache(key string, result json.RawMessage) error {
-	return f.do(func() error { return f.inner.PutCache(key, result) })
-}
-
-// DeleteCache implements JobStore.
-func (f *FaultStore) DeleteCache(key string) error {
-	return f.do(func() error { return f.inner.DeleteCache(key) })
-}
-
-// PutReplica implements JobStore.
-func (f *FaultStore) PutReplica(rec JobRecord) error {
-	return f.do(func() error { return f.inner.PutReplica(rec) })
-}
-
-// DeleteReplica implements JobStore.
-func (f *FaultStore) DeleteReplica(id string) error {
-	return f.do(func() error { return f.inner.DeleteReplica(id) })
-}
-
-// ApplyOps implements BatchStore. The whole batch counts as ONE
-// mutating op against the fault dials — faults are modeled at fsync
-// granularity, which is exactly what a batched commit is. A non-torn
-// fault fails the batch before it reaches the inner store; a torn fault
-// applies it first and loses the acknowledgment. When the inner store
-// has no batch fast path the ops are applied one by one inside the
-// single fault window.
-func (f *FaultStore) ApplyOps(ops []Op) error {
-	return f.do(func() error {
-		if bs, ok := f.inner.(BatchStore); ok {
-			return bs.ApplyOps(ops)
-		}
-		for _, op := range ops {
-			if err := ApplyOp(f.inner, op); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// ApplyOp routes one batch op through a store's single-op methods — the
-// fallback path for stores without a batch fast path, and the retry
-// path callers use to isolate a failure after a batch rolled back.
-func ApplyOp(s JobStore, op Op) error {
-	switch op.Kind {
-	case OpPutJob:
-		if op.Rec == nil {
-			return fmt.Errorf("store: %s op without record", op.Kind)
-		}
-		return s.PutJob(*op.Rec)
-	case OpDeleteJob:
-		return s.DeleteJob(op.ID)
-	case OpPutCache:
-		return s.PutCache(op.Key, op.Result)
-	case OpDeleteCache:
-		return s.DeleteCache(op.Key)
-	case OpPutReplica:
-		if op.Rec == nil {
-			return fmt.Errorf("store: %s op without record", op.Kind)
-		}
-		return s.PutReplica(*op.Rec)
-	case OpDeleteReplica:
-		return s.DeleteReplica(op.ID)
-	default:
-		return fmt.Errorf("store: unknown op kind %q", op.Kind)
-	}
 }
 
 // Load implements JobStore; never injected — boot must see the truth.

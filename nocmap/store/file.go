@@ -13,7 +13,7 @@ import (
 // split into segment files (wal.000001.jsonl, ...), folded into a
 // snapshot (snapshot.json) by a dedicated compactor goroutine. Every
 // append is fsynced before the call returns, so a SIGKILL at any
-// instant loses at most the operation in flight; a torn final line in
+// instant loses at most the batch in flight; a torn final line in
 // the active segment (the signature of a crash mid-append) is detected
 // and truncated away on the next Open.
 //
@@ -27,14 +27,14 @@ import (
 type FileStore struct {
 	dir string
 
-	mu      sync.Mutex
-	wal     *os.File // active segment, open for append
-	walSeq  uint64   // active segment's sequence number
-	walOps  int      // whole-line appends in the active segment
-	walSize int64    // end offset of the last fully appended line
-	closed  bool
-	roCause string // non-empty: the store refused further writes (see readOnlyLocked)
-	state   memState
+	mu       sync.Mutex
+	wal      *os.File // active segment, open for append
+	walSeq   uint64   // active segment's sequence number
+	walLines int      // whole-line appends in the active segment
+	walSize  int64    // end offset of the last fully appended line
+	closed   bool
+	roCause  string // non-empty: the store refused further writes (see readOnlyLocked)
+	state    memState
 
 	compactOps   int   // op-count compaction trigger floor
 	compactBytes int64 // byte-size compaction trigger
@@ -62,7 +62,7 @@ type FileStore struct {
 	// latency bench forces a multi-second compaction with it),
 	// syncHook sees every successful WAL fsync with the number of ops
 	// it made durable (the group-commit test counts barriers with it).
-	applyFault      func(walOp) error
+	applyFault      func(Op) error
 	compactHook     func(step string)
 	compactThrottle func()
 	syncHook        func(ops int)
@@ -85,15 +85,6 @@ func newMemState() memState {
 		cache:    make(map[string]CacheEntry),
 		replicas: make(map[string]JobRecord),
 	}
-}
-
-// walOp is one log line.
-type walOp struct {
-	Op     string          `json:"op"` // "job", "deljob", "cache", "delcache", "replica", "delreplica"
-	Job    *JobRecord      `json:"job,omitempty"`
-	ID     string          `json:"id,omitempty"`
-	Key    string          `json:"key,omitempty"`
-	Result json.RawMessage `json:"result,omitempty"`
 }
 
 const (
@@ -236,7 +227,7 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 				return nil, fmt.Errorf("store: truncating torn wal tail: %w", err)
 			}
 		}
-		fs.walOps = ops
+		fs.walLines = ops
 		fs.walSize = good
 	}
 
@@ -276,43 +267,23 @@ func OpenConfig(dir string, cfg FileConfig) (*FileStore, error) {
 
 func (fs *FileStore) path(name string) string { return filepath.Join(fs.dir, name) }
 
-// validate rejects malformed operations before they reach the WAL or
-// the state: an invalid op must never be fsynced to disk, where it
-// would poison every subsequent replay.
-func (op walOp) validate() error {
-	switch op.Op {
-	case "job", "replica":
-		if op.Job == nil || op.Job.ID == "" {
-			return fmt.Errorf("store: %s op without record", op.Op)
-		}
-	case "deljob", "delcache", "delreplica":
-	case "cache":
-		if op.Key == "" {
-			return fmt.Errorf("store: cache op without key")
-		}
-	default:
-		return fmt.Errorf("store: unknown wal op %q", op.Op)
-	}
-	return nil
-}
-
 // apply folds one WAL operation into the state.
-func (s *memState) apply(op walOp) error {
+func (s *memState) apply(op Op) error {
 	if err := op.validate(); err != nil {
 		return err
 	}
-	switch op.Op {
-	case "job":
-		s.putJob(*op.Job)
-	case "deljob":
+	switch op.Kind {
+	case OpJob:
+		s.putJob(*op.Rec)
+	case OpDelJob:
 		s.delJob(op.ID)
-	case "cache":
+	case OpCache:
 		s.putCache(op.Key, op.Result)
-	case "delcache":
+	case OpDelCache:
 		s.delCache(op.Key)
-	case "replica":
-		s.putReplica(*op.Job)
-	case "delreplica":
+	case OpReplica:
+		s.putReplica(*op.Rec)
+	case OpDelReplica:
 		s.delReplica(op.ID)
 	}
 	return nil
@@ -394,8 +365,8 @@ func (fs *FileStore) writableLocked() error {
 // here is the one divergence the store cannot absorb: the op is durable
 // in the WAL but not in memory, so writes stop loudly (read-only)
 // instead of letting the two images drift apart silently. Callers hold
-// fs.mu and have already counted the op into walOps/walSize.
-func (fs *FileStore) applyLocked(op walOp) error {
+// fs.mu and have already counted the op into walLines/walSize.
+func (fs *FileStore) applyLocked(op Op) error {
 	err := func() error {
 		if fs.applyFault != nil {
 			if ferr := fs.applyFault(op); ferr != nil {
@@ -411,52 +382,10 @@ func (fs *FileStore) applyLocked(op walOp) error {
 	return nil
 }
 
-// append writes one op to the active WAL segment, fsyncs it and folds
-// it into the in-memory state, rotating segments (and waking the
-// compactor) when the log has outgrown the state.
-func (fs *FileStore) append(op walOp) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if err := fs.writableLocked(); err != nil {
-		return err
-	}
-	if err := op.validate(); err != nil {
-		return err // never fsync an op replay would choke on
-	}
-	line, err := json.Marshal(op)
-	if err != nil {
-		return fmt.Errorf("store: encoding wal op: %w", err)
-	}
-	line = append(line, '\n')
-	if _, err := fs.wal.Write(line); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
-		// A short write (ENOSPC, I/O error) may have left a line
-		// fragment; roll the file back to the last whole line so a later
-		// successful append cannot glue onto the fragment and turn a
-		// transient failure into permanent mid-log corruption.
-		fs.rollbackLocked() //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
-		return fmt.Errorf("store: appending wal: %w", err)
-	}
-	if err := fs.wal.Sync(); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
-		fs.rollbackLocked() //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
-		return fmt.Errorf("store: syncing wal: %w", err)
-	}
-	fs.walSize += int64(len(line))
-	fs.walOps++
-	if fs.syncHook != nil {
-		fs.syncHook(1)
-	}
-	if err := fs.applyLocked(op); err != nil {
-		return err
-	}
-	fs.maybeCompactLocked() //nocmapvet:allow blockingunderlock segment rotation is metadata-only WAL-path IO under fs.mu by design; docs/STATIC_ANALYSIS.md#baselines
-	return nil
-}
-
-// ApplyOps implements BatchStore: every op in the batch is marshaled,
+// ApplyOps implements JobStore: every op in the batch is marshaled,
 // written and fsynced as ONE WAL append — the group commit that lets the
 // server's outbox flusher amortize fsync latency over many terminal
-// transitions.
-// Order inside the batch is the WAL order. On a write or sync error the
+// transitions. Order inside the batch is the WAL order. On a write or sync error the
 // file is rolled back to the pre-batch line boundary, so a failed batch
 // leaves no partial ops behind and may be retried op by op; once the
 // batch IS fsynced, it applies whole — an op that then fails to apply
@@ -473,20 +402,17 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 	if err := fs.writableLocked(); err != nil {
 		return err
 	}
-	wops := make([]walOp, len(ops))
+	if err := validateAll(ops); err != nil {
+		return err // never fsync an op replay would choke on
+	}
 	var buf bytes.Buffer
-	for i, op := range ops {
-		w := op.wal()
-		if err := w.validate(); err != nil {
-			return err // never fsync an op replay would choke on
-		}
-		line, err := json.Marshal(w)
+	for _, op := range ops {
+		line, err := json.Marshal(op)
 		if err != nil {
 			return fmt.Errorf("store: encoding wal op: %w", err)
 		}
 		buf.Write(line)
 		buf.WriteByte('\n')
-		wops[i] = w
 	}
 	if _, err := fs.wal.Write(buf.Bytes()); err != nil { //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
 		fs.rollbackLocked() //nocmapvet:allow blockingunderlock fs.mu is the WAL append serialization point by design; docs/STATIC_ANALYSIS.md#baselines
@@ -497,13 +423,13 @@ func (fs *FileStore) ApplyOps(ops []Op) error {
 		return fmt.Errorf("store: syncing wal batch: %w", err)
 	}
 	fs.walSize += int64(buf.Len())
-	fs.walOps += len(wops)
+	fs.walLines += len(ops)
 	if fs.syncHook != nil {
-		fs.syncHook(len(wops))
+		fs.syncHook(len(ops))
 	}
 	var firstErr error
-	for _, w := range wops {
-		if err := fs.applyLocked(w); err != nil && firstErr == nil {
+	for _, op := range ops {
+		if err := fs.applyLocked(op); err != nil && firstErr == nil {
 			// Keep applying the rest: the WAL holds the whole batch, so
 			// memory should carry everything it can before the store
 			// goes read-only on the divergence.
@@ -538,7 +464,7 @@ func (fs *FileStore) maybeCompactLocked() {
 		return
 	}
 	live := len(fs.state.jobs) + len(fs.state.cache) + len(fs.state.replicas)
-	totalOps := fs.sealedOps + fs.walOps
+	totalOps := fs.sealedOps + fs.walLines
 	totalBytes := fs.sealedSize + fs.walSize
 	opsTrigger := totalOps >= fs.compactOps && totalOps > 4*live
 	if !opsTrigger && totalBytes < fs.compactBytes {
@@ -550,8 +476,8 @@ func (fs *FileStore) maybeCompactLocked() {
 	// one awaiting retry), appends must not rotate once per op — a
 	// multi-second compaction bounds the active segment by re-rotating
 	// only when that segment re-crosses a trigger on its own.
-	activeBig := fs.walOps >= fs.compactOps || fs.walSize >= fs.compactBytes
-	if fs.walOps > 0 && (activeBig || (fs.sealedOps == 0 && fs.sealedSize == 0)) {
+	activeBig := fs.walLines >= fs.compactOps || fs.walSize >= fs.compactBytes
+	if fs.walLines > 0 && (activeBig || (fs.sealedOps == 0 && fs.sealedSize == 0)) {
 		if err := fs.rotateLocked(); err != nil {
 			// The WAL keeps appending to the current segment; the trigger
 			// stays satisfied and retries on the next append.
@@ -583,9 +509,9 @@ func (fs *FileStore) rotateLocked() error {
 	old := fs.wal
 	fs.wal = f
 	fs.walSeq = next
-	fs.sealedOps += fs.walOps
+	fs.sealedOps += fs.walLines
 	fs.sealedSize += fs.walSize
-	fs.walOps = 0
+	fs.walLines = 0
 	fs.walSize = 0
 	fs.segments++
 	// Every line in the sealed segment is already fsynced whole; the
@@ -607,38 +533,6 @@ func (s *memState) snapshot() *Snapshot {
 		snap.Replicas = append(snap.Replicas, copyRecord(s.replicas[id]))
 	}
 	return snap
-}
-
-// PutJob implements JobStore.
-func (fs *FileStore) PutJob(rec JobRecord) error {
-	r := copyRecord(rec)
-	return fs.append(walOp{Op: "job", Job: &r})
-}
-
-// DeleteJob implements JobStore.
-func (fs *FileStore) DeleteJob(id string) error {
-	return fs.append(walOp{Op: "deljob", ID: id})
-}
-
-// PutCache implements JobStore.
-func (fs *FileStore) PutCache(key string, result json.RawMessage) error {
-	return fs.append(walOp{Op: "cache", Key: key, Result: rawCopy(result)})
-}
-
-// DeleteCache implements JobStore.
-func (fs *FileStore) DeleteCache(key string) error {
-	return fs.append(walOp{Op: "delcache", Key: key})
-}
-
-// PutReplica implements JobStore.
-func (fs *FileStore) PutReplica(rec JobRecord) error {
-	r := copyRecord(rec)
-	return fs.append(walOp{Op: "replica", Job: &r})
-}
-
-// DeleteReplica implements JobStore.
-func (fs *FileStore) DeleteReplica(id string) error {
-	return fs.append(walOp{Op: "delreplica", ID: id})
 }
 
 // Load implements JobStore.

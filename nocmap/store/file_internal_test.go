@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,11 @@ func irec(id string, seq uint64, result string) JobRecord {
 	}
 	return r
 }
+
+// one applies op as a one-op batch.
+func one(s JobStore, op Op) error { return s.ApplyOps([]Op{op}) }
+
+func jobOp(r JobRecord) Op { return Op{Kind: OpJob, Rec: &r} }
 
 // waitCompactions blocks until the store has published at least n
 // snapshots and no pass is in flight.
@@ -66,7 +72,7 @@ func TestSegmentRotation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 40; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
+		if err := one(fs, jobOp(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +118,7 @@ func TestByteSizeTrigger(t *testing.T) {
 	defer fs.Close()
 	big := `{"blob":"` + strings.Repeat("x", 16<<10) + `"}`
 	for i := 0; i < 8; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), big)); err != nil {
+		if err := one(fs, jobOp(irec("job-1", uint64(i+1), big))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -145,7 +151,7 @@ func TestAppendsDuringCompaction(t *testing.T) {
 	}
 	const total = 200
 	for i := 0; i < total; i++ {
-		if err := fs.PutJob(irec(fmt.Sprintf("job-%03d", i%7), uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
+		if err := one(fs, jobOp(irec(fmt.Sprintf("job-%03d", i%7), uint64(i+1), fmt.Sprintf(`{"round":%d}`, i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +184,7 @@ func TestStaleSnapshotTmpRemovedOnOpen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.PutJob(irec("job-1", 1, `{"ok":true}`)); err != nil {
+	if err := one(fs, jobOp(irec("job-1", 1, `{"ok":true}`))); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Close(); err != nil {
@@ -236,7 +242,7 @@ func TestCompactionSurvivesLeftoverSegment(t *testing.T) {
 		}
 	}
 	for i := 0; i < 40; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
+		if err := one(fs, jobOp(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -272,7 +278,7 @@ func TestCompactionSurvivesLeftoverSegment(t *testing.T) {
 	// And the settled counters must not re-attempt compaction forever:
 	// a few more appends stay below the trigger.
 	for i := 0; i < 4; i++ {
-		if err := again.PutJob(irec("job-2", uint64(i+1), "")); err != nil {
+		if err := one(again, jobOp(irec("job-2", uint64(i+1), ""))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -314,7 +320,7 @@ func TestFailedSegmentDeleteStillSettles(t *testing.T) {
 		}
 	}
 	for i := 0; i < 40; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i))); err != nil {
+		if err := one(fs, jobOp(irec("job-1", uint64(i+1), fmt.Sprintf(`{"round":%d}`, i)))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,7 +335,7 @@ func TestFailedSegmentDeleteStillSettles(t *testing.T) {
 	// appends below the trigger must not re-attempt compaction.
 	passes := st.Compactions
 	for i := 0; i < 4; i++ {
-		if err := fs.PutJob(irec("job-2", uint64(i+1), "")); err != nil {
+		if err := one(fs, jobOp(irec("job-2", uint64(i+1), ""))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -355,34 +361,34 @@ func TestMidBatchApplyFailureGoesReadOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs.applyFault = func(op walOp) error {
-		if op.Job != nil && op.Job.ID == "job-poison" {
+	fs.applyFault = func(op Op) error {
+		if op.Rec != nil && op.Rec.ID == "job-poison" {
 			return fmt.Errorf("injected apply fault")
 		}
 		return nil
 	}
 	a, b, c := irec("job-a", 1, ""), irec("job-poison", 2, ""), irec("job-c", 3, "")
 	err = fs.ApplyOps([]Op{
-		{Kind: OpPutJob, Rec: &a},
-		{Kind: OpPutJob, Rec: &b},
-		{Kind: OpPutJob, Rec: &c},
+		{Kind: OpJob, Rec: &a},
+		{Kind: OpJob, Rec: &b},
+		{Kind: OpJob, Rec: &c},
 	})
 	if err == nil || !strings.Contains(err.Error(), "injected apply fault") {
 		t.Fatalf("mid-batch apply failure returned %v", err)
 	}
 	// Loud: every subsequent write is refused.
-	if err := fs.PutJob(irec("job-d", 4, "")); err == nil || !strings.Contains(err.Error(), "read-only") {
+	if err := one(fs, jobOp(irec("job-d", 4, ""))); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("store accepted writes after apply divergence: %v", err)
 	}
-	if err := fs.ApplyOps([]Op{{Kind: OpPutJob, Rec: &a}}); err == nil || !strings.Contains(err.Error(), "read-only") {
+	if err := fs.ApplyOps([]Op{{Kind: OpJob, Rec: &a}}); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("ApplyOps accepted a batch after apply divergence: %v", err)
 	}
 	// The WAL holds the whole fsynced batch and the counters cover it.
 	fs.mu.Lock()
-	walOps := fs.walOps
+	lines := fs.walLines
 	fs.mu.Unlock()
-	if walOps != 3 {
-		t.Fatalf("walOps = %d after a 3-op fsynced batch, want 3", walOps)
+	if lines != 3 {
+		t.Fatalf("walLines = %d after a 3-op fsynced batch, want 3", lines)
 	}
 	// Reads still work, and memory carries everything that applied.
 	snap, err := fs.Load()
@@ -410,8 +416,8 @@ func TestMidBatchApplyFailureGoesReadOnly(t *testing.T) {
 	}
 }
 
-// TestSingleOpApplyFailureGoesReadOnly pins the same contract on the
-// single-op append path.
+// TestSingleOpApplyFailureGoesReadOnly pins the same contract on a
+// one-op batch.
 func TestSingleOpApplyFailureGoesReadOnly(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := Open(dir)
@@ -419,26 +425,60 @@ func TestSingleOpApplyFailureGoesReadOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fs.Close()
-	fs.applyFault = func(op walOp) error { return fmt.Errorf("injected apply fault") }
-	if err := fs.PutJob(irec("job-a", 1, "")); err == nil {
+	fs.applyFault = func(Op) error { return fmt.Errorf("injected apply fault") }
+	if err := one(fs, jobOp(irec("job-a", 1, ""))); err == nil {
 		t.Fatal("append with a poisoned apply must fail")
 	}
 	fs.applyFault = nil
-	if err := fs.PutJob(irec("job-b", 2, "")); err == nil || !strings.Contains(err.Error(), "read-only") {
+	if err := one(fs, jobOp(irec("job-b", 2, ""))); err == nil || !strings.Contains(err.Error(), "read-only") {
 		t.Fatalf("store writable after apply divergence: %v", err)
 	}
 }
 
 // TestLegacyWALMigration: a pre-segment store (single wal.jsonl, no
 // wal_seq in the snapshot) must open cleanly, its WAL becoming
-// segment 1.
+// segment 1. The WAL also carries one line of every op kind, written
+// out byte for byte: each Op must still encode to exactly that line,
+// and the segment must replay to the expected state — the on-disk
+// format is pinned.
 func TestLegacyWALMigration(t *testing.T) {
+	failed := JobRecord{
+		ID: "job-1", Key: "key-job-1",
+		Problem: json.RawMessage(`{"app":{}}`), Spec: json.RawMessage(`{"algorithm":"nmap-single"}`),
+		State: StateFailed, CacheHit: true, Coalesced: true,
+		Result: json.RawMessage(`{"feasible":true}`), Error: json.RawMessage(`{"code":"x"}`),
+		Seq: 3, Minted: 5,
+	}
+	replica := JobRecord{ID: "s0-job-2", Key: "key-2", State: StateQueued, Origin: "s0-"}
+	pinned := []struct {
+		op   Op
+		line string
+	}{
+		{Op{Kind: OpJob, Rec: &failed}, `{"op":"job","job":{"id":"job-1","key":"key-job-1","problem":{"app":{}},"spec":{"algorithm":"nmap-single"},"state":"failed","cache_hit":true,"coalesced":true,"result":{"feasible":true},"error":{"code":"x"},"seq":3,"minted":5}}`},
+		{Op{Kind: OpDelJob, ID: "job-old"}, `{"op":"deljob","id":"job-old"}`},
+		{Op{Kind: OpCache, Key: "k1", Result: json.RawMessage(`{"v":1}`)}, `{"op":"cache","key":"k1","result":{"v":1}}`},
+		{Op{Kind: OpDelCache, Key: "k0"}, `{"op":"delcache","key":"k0"}`},
+		{Op{Kind: OpReplica, Rec: &replica}, `{"op":"replica","job":{"id":"s0-job-2","key":"key-2","state":"queued","origin":"s0-"}}`},
+		{Op{Kind: OpDelReplica, ID: "s0-old"}, `{"op":"delreplica","id":"s0-old"}`},
+	}
+	legacyWAL := `{"op":"job","job":{"id":"job-new","key":"key-job-new","state":"done","seq":2}}` + "\n"
+	for _, p := range pinned {
+		got, err := json.Marshal(p.op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != p.line {
+			t.Fatalf("%s op encodes as\n %s\nwant the pinned WAL line\n %s", p.op.Kind, got, p.line)
+		}
+		legacyWAL += p.line + "\n"
+	}
+
 	dir := t.TempDir()
-	legacySnap := `{"jobs":[{"id":"job-old","key":"key-job-old","state":"done","seq":1}],"cache":null,"replicas":null}`
+	legacySnap := `{"jobs":[{"id":"job-old","key":"key-job-old","state":"done","seq":1}],` +
+		`"cache":[{"key":"k0","result":0}],"replicas":[{"id":"s0-old","state":"done","origin":"s0-"}]}`
 	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte(legacySnap+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	legacyWAL := `{"op":"job","job":{"id":"job-new","key":"key-job-new","state":"done","seq":2}}` + "\n"
 	if err := os.WriteFile(filepath.Join(dir, legacyWALFile), []byte(legacyWAL), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -451,8 +491,13 @@ func TestLegacyWALMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Jobs) != 2 {
-		t.Fatalf("legacy state = %+v, want snapshot job + wal job", snap.Jobs)
+	want := &Snapshot{
+		Jobs:     []JobRecord{{ID: "job-new", Key: "key-job-new", State: StateDone, Seq: 2}, failed},
+		Cache:    []CacheEntry{{Key: "k1", Result: json.RawMessage(`{"v":1}`)}},
+		Replicas: []JobRecord{replica},
+	}
+	if !reflect.DeepEqual(snap, want) {
+		t.Fatalf("legacy state =\n %+v\nwant\n %+v", snap, want)
 	}
 	if _, err := os.Stat(filepath.Join(dir, legacyWALFile)); !os.IsNotExist(err) {
 		t.Fatalf("legacy wal.jsonl survived migration (err=%v)", err)
@@ -461,7 +506,7 @@ func TestLegacyWALMigration(t *testing.T) {
 		t.Fatalf("legacy wal was not migrated to segment 1: %v", err)
 	}
 	// And appends keep working in the migrated store.
-	if err := fs.PutJob(irec("job-after", 3, "")); err != nil {
+	if err := one(fs, jobOp(irec("job-after", 3, ""))); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -475,7 +520,7 @@ func TestSegmentGapFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := fs.PutJob(irec("job-1", uint64(i+1), "")); err != nil {
+		if err := one(fs, jobOp(irec("job-1", uint64(i+1), ""))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -486,7 +531,7 @@ func TestSegmentGapFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.mu.Unlock()
-	if err := fs.PutJob(irec("job-1", 5, "")); err != nil {
+	if err := one(fs, jobOp(irec("job-1", 5, ""))); err != nil {
 		t.Fatal(err)
 	}
 	fs.mu.Lock()
@@ -495,7 +540,7 @@ func TestSegmentGapFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs.mu.Unlock()
-	if err := fs.PutJob(irec("job-1", 6, "")); err != nil {
+	if err := one(fs, jobOp(irec("job-1", 6, ""))); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.Close(); err != nil {
@@ -533,7 +578,7 @@ func TestApplyOpsAcrossCompaction(t *testing.T) {
 		ops := make([]Op, 0, batchSize)
 		for k := i; k < i+batchSize; k++ {
 			r := irec(fmt.Sprintf("job-%02d", k%live), uint64(k+1), fmt.Sprintf(`{"round":%d}`, k))
-			ops = append(ops, Op{Kind: OpPutJob, Rec: &r})
+			ops = append(ops, Op{Kind: OpJob, Rec: &r})
 		}
 		if err := fs.ApplyOps(ops); err != nil {
 			t.Fatalf("ApplyOps during compaction: %v", err)
@@ -572,7 +617,7 @@ func TestApplyOpsAcrossCompaction(t *testing.T) {
 
 // TestGroupCommitBatches proves the batched append actually groups: a
 // whole ApplyOps batch is made durable by ONE fsync, however many ops
-// it carries, while the single-op methods still pay one fsync apiece.
+// it carries, while one-op batches pay one fsync apiece.
 func TestGroupCommitBatches(t *testing.T) {
 	dir := t.TempDir()
 	fs, err := Open(dir)
@@ -585,7 +630,7 @@ func TestGroupCommitBatches(t *testing.T) {
 		ops := make([]Op, n)
 		for i := range ops {
 			r := irec(fmt.Sprintf("job-%03d", from+i), uint64(from+i+1), "")
-			ops[i] = Op{Kind: OpPutJob, Rec: &r}
+			ops[i] = Op{Kind: OpJob, Rec: &r}
 		}
 		return ops
 	}
@@ -598,7 +643,7 @@ func TestGroupCommitBatches(t *testing.T) {
 		}
 	}
 	for i := 400; i < 403; i++ {
-		if err := fs.PutJob(irec(fmt.Sprintf("job-%03d", i), uint64(i+1), "")); err != nil {
+		if err := one(fs, jobOp(irec(fmt.Sprintf("job-%03d", i), uint64(i+1), ""))); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -118,7 +118,7 @@ func replaySegment(path string, state *memState, active bool, pace func()) (ops 
 			good += advance
 			continue
 		}
-		var op walOp
+		var op Op
 		if uerr := json.Unmarshal(line, &op); uerr != nil {
 			if _, peekErr := r.Peek(1); peekErr == io.EOF && active {
 				return ops, good, nil // torn final line

@@ -1,6 +1,9 @@
 package store
 
-import "encoding/json"
+import (
+	"encoding/json"
+	"fmt"
+)
 
 // Job states a record can carry. They mirror the nocmap/server job
 // lifecycle; the store itself only distinguishes terminal from live
@@ -84,77 +87,92 @@ type Snapshot struct {
 }
 
 // JobStore persists jobs, terminal results and result-cache entries
-// across server restarts. Implementations must serialize concurrent
-// calls internally; the nocmap/server calls them under its own lock but
-// other writers make no such promise. All methods must be safe after
-// Close returns an error-free result only for Load.
+// across server restarts. Its one write is a batch of Ops; the
+// nocmap/server outbox flusher is its only writer, but implementations
+// serialize concurrent calls internally so any caller may write. After
+// Close, writes fail and Load still answers.
 type JobStore interface {
-	// PutJob inserts or overwrites the record for rec.ID.
-	PutJob(rec JobRecord) error
-	// DeleteJob forgets a job (retention eviction). Deleting an unknown
-	// ID is a no-op.
-	DeleteJob(id string) error
-	// PutCache inserts or refreshes one result-cache entry.
-	PutCache(key string, result json.RawMessage) error
-	// DeleteCache forgets a cache entry (LRU eviction). Unknown keys are
-	// a no-op.
-	DeleteCache(key string) error
-	// PutReplica inserts or overwrites a record in the replica
-	// namespace — state replicated from this instance's ring
-	// predecessor, isolated from the instance's own jobs.
-	PutReplica(rec JobRecord) error
-	// DeleteReplica forgets a replica record. Unknown IDs are a no-op.
-	DeleteReplica(id string) error
+	// ApplyOps applies ops in order under one durability barrier (one
+	// fsync for a FileStore). An invalid op rejects the whole batch
+	// before any op is written or applied. A batch that fails to become
+	// durable is rolled back where the implementation can (FileStore
+	// truncates to the last whole pre-batch line), so the caller may
+	// retry op by op. An empty batch is a no-op.
+	ApplyOps(ops []Op) error
 	// Load returns the store's current contents. The server calls it
 	// once at boot, before accepting work.
 	Load() (*Snapshot, error)
-	// Close releases the store's resources. Further writes may fail.
+	// Close releases the store's resources.
 	Close() error
 }
 
-// OpKind names one kind of store mutation. The values match the WAL's
-// on-disk op strings so a batched op folds into the same log format as
-// the single-shot JobStore methods.
+// OpKind names one kind of store mutation. Its value is the op string
+// of the mutation's WAL line.
 type OpKind string
 
 // The store mutations a batch may carry.
 const (
-	OpPutJob        OpKind = "job"
-	OpDeleteJob     OpKind = "deljob"
-	OpPutCache      OpKind = "cache"
-	OpDeleteCache   OpKind = "delcache"
-	OpPutReplica    OpKind = "replica"
-	OpDeleteReplica OpKind = "delreplica"
+	// OpJob inserts or overwrites the job record Rec; Rec.ID is
+	// required.
+	OpJob OpKind = "job"
+	// OpDelJob forgets job ID (retention eviction). Deleting an
+	// unknown ID is a no-op.
+	OpDelJob OpKind = "deljob"
+	// OpCache inserts or refreshes the result-cache entry Key with
+	// Result; Key is required.
+	OpCache OpKind = "cache"
+	// OpDelCache forgets cache entry Key (LRU eviction). Deleting an
+	// unknown key is a no-op.
+	OpDelCache OpKind = "delcache"
+	// OpReplica inserts or overwrites Rec in the replica namespace —
+	// state replicated from this instance's ring predecessor, isolated
+	// from the instance's own jobs. Rec.ID is required.
+	OpReplica OpKind = "replica"
+	// OpDelReplica forgets replica record ID. Deleting an unknown ID
+	// is a no-op.
+	OpDelReplica OpKind = "delreplica"
 )
 
-// Op is one store mutation in batch form. Exactly the fields the Kind
-// needs are set: Rec for puts of job/replica records, ID for job/replica
-// deletes, Key (and Result for puts) for cache operations.
+// Op is one store mutation; its JSON encoding is one WAL line. Exactly
+// the fields the Kind needs are set: Rec for job/replica puts, ID for
+// job/replica deletes, Key (and Result for puts) for cache ops.
 type Op struct {
-	Kind   OpKind
-	Rec    *JobRecord
-	ID     string
-	Key    string
-	Result json.RawMessage
+	Kind   OpKind          `json:"op"`
+	Rec    *JobRecord      `json:"job,omitempty"`
+	ID     string          `json:"id,omitempty"`
+	Key    string          `json:"key,omitempty"`
+	Result json.RawMessage `json:"result,omitempty"`
 }
 
-// wal converts a batch op to its WAL form. Callers own validation (the
-// walOp validate runs before anything is written).
-func (op Op) wal() walOp {
-	return walOp{Op: string(op.Kind), Job: op.Rec, ID: op.ID, Key: op.Key, Result: op.Result}
+// validate rejects malformed operations before they reach the WAL or
+// the state: an invalid op must never be fsynced to disk, where it
+// would poison every subsequent replay.
+func (op Op) validate() error {
+	switch op.Kind {
+	case OpJob, OpReplica:
+		if op.Rec == nil || op.Rec.ID == "" {
+			return fmt.Errorf("store: %s op without record", op.Kind)
+		}
+	case OpDelJob, OpDelCache, OpDelReplica:
+	case OpCache:
+		if op.Key == "" {
+			return fmt.Errorf("store: cache op without key")
+		}
+	default:
+		return fmt.Errorf("store: unknown wal op %q", op.Kind)
+	}
+	return nil
 }
 
-// BatchStore is a JobStore that can apply many mutations under a single
-// durability barrier (one fsync for a FileStore); the nocmap/server
-// outbox flusher hands it each drained batch whole. Order within the batch is preserved exactly; on error the
-// whole batch is rolled back where the implementation can (FileStore
-// truncates to the last whole pre-batch line), so callers may safely
-// retry op by op. Implementations must serialize ApplyOps against the
-// single-op methods.
-type BatchStore interface {
-	JobStore
-	// ApplyOps applies ops in order under one durability barrier.
-	ApplyOps(ops []Op) error
+// validateAll checks a whole batch up front, so a rejected batch
+// leaves no op behind.
+func validateAll(ops []Op) error {
+	for _, op := range ops {
+		if err := op.validate(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // rawCopy deep-copies a raw message so callers may reuse their buffers.

@@ -51,6 +51,12 @@ func rec(id, state string, seq uint64) store.JobRecord {
 	}
 }
 
+// one applies op as a one-op batch.
+func one(s store.JobStore, op store.Op) error { return s.ApplyOps([]store.Op{op}) }
+
+func jobOp(r store.JobRecord) store.Op     { return store.Op{Kind: store.OpJob, Rec: &r} }
+func replicaOp(r store.JobRecord) store.Op { return store.Op{Kind: store.OpReplica, Rec: &r} }
+
 func TestPutLoadRoundTrip(t *testing.T) {
 	stores(t, func(t *testing.T, open func(t *testing.T) store.JobStore) {
 		s := open(t)
@@ -58,11 +64,11 @@ func TestPutLoadRoundTrip(t *testing.T) {
 		done := rec("job-1", store.StateDone, 1)
 		done.Result = json.RawMessage(`{"feasible":true}`)
 		for _, r := range []store.JobRecord{done, rec("job-2", store.StateQueued, 0)} {
-			if err := s.PutJob(r); err != nil {
+			if err := one(s, jobOp(r)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		if err := s.PutCache("cache-a", json.RawMessage(`{"r":1}`)); err != nil {
+		if err := one(s, store.Op{Kind: store.OpCache, Key: "cache-a", Result: json.RawMessage(`{"r":1}`)}); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := s.Load()
@@ -85,26 +91,26 @@ func TestOverwriteAndDelete(t *testing.T) {
 	stores(t, func(t *testing.T, open func(t *testing.T) store.JobStore) {
 		s := open(t)
 		defer s.Close()
-		if err := s.PutJob(rec("job-1", store.StateQueued, 0)); err != nil {
+		if err := one(s, jobOp(rec("job-1", store.StateQueued, 0))); err != nil {
 			t.Fatal(err)
 		}
 		finished := rec("job-1", store.StateDone, 7)
-		if err := s.PutJob(finished); err != nil {
+		if err := one(s, jobOp(finished)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutJob(rec("job-2", store.StateDone, 8)); err != nil {
+		if err := one(s, jobOp(rec("job-2", store.StateDone, 8))); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.DeleteJob("job-2"); err != nil {
+		if err := one(s, store.Op{Kind: store.OpDelJob, ID: "job-2"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.DeleteJob("missing"); err != nil {
+		if err := one(s, store.Op{Kind: store.OpDelJob, ID: "missing"}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutCache("k", json.RawMessage(`1`)); err != nil {
+		if err := one(s, store.Op{Kind: store.OpCache, Key: "k", Result: json.RawMessage(`1`)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.DeleteCache("k"); err != nil {
+		if err := one(s, store.Op{Kind: store.OpDelCache, Key: "k"}); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := s.Load()
@@ -130,13 +136,13 @@ func TestFileStoreReopen(t *testing.T) {
 	}
 	done := rec("job-1", store.StateDone, 3)
 	done.Result = json.RawMessage(`{"assignment":[0,1,2]}`)
-	if err := s.PutJob(done); err != nil {
+	if err := one(s, jobOp(done)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutJob(rec("job-2", store.StateRunning, 0)); err != nil {
+	if err := one(s, jobOp(rec("job-2", store.StateRunning, 0))); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutCache("warm", json.RawMessage(`{"cached":true}`)); err != nil {
+	if err := one(s, store.Op{Kind: store.OpCache, Key: "warm", Result: json.RawMessage(`{"cached":true}`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -171,7 +177,7 @@ func TestFileStoreTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutJob(rec("job-1", store.StateDone, 1)); err != nil {
+	if err := one(s, jobOp(rec("job-1", store.StateDone, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -199,7 +205,7 @@ func TestFileStoreTornTail(t *testing.T) {
 		t.Fatalf("snapshot after torn tail = %+v; want job-1 alone", snap.Jobs)
 	}
 	// The truncated WAL must append cleanly again.
-	if err := again.PutJob(rec("job-3", store.StateQueued, 0)); err != nil {
+	if err := one(again, jobOp(rec("job-3", store.StateQueued, 0))); err != nil {
 		t.Fatal(err)
 	}
 	if err := again.Close(); err != nil {
@@ -233,7 +239,7 @@ func TestFileStoreCompaction(t *testing.T) {
 	for i := 0; i < 1200; i++ {
 		last = rec("job-1", store.StateDone, uint64(i+1))
 		last.Result = json.RawMessage(fmt.Sprintf(`{"round":%d}`, i))
-		if err := s.PutJob(last); err != nil {
+		if err := one(s, jobOp(last)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,13 +291,13 @@ func TestInvalidOpsNeverReachDisk(t *testing.T) {
 	stores(t, func(t *testing.T, open func(t *testing.T) store.JobStore) {
 		s := open(t)
 		defer s.Close()
-		if err := s.PutJob(store.JobRecord{State: store.StateQueued}); err == nil {
-			t.Fatal("PutJob without an ID must fail")
+		if err := one(s, jobOp(store.JobRecord{State: store.StateQueued})); err == nil {
+			t.Fatal("a job op without an ID must fail")
 		}
-		if err := s.PutCache("", json.RawMessage(`1`)); err == nil {
-			t.Fatal("PutCache without a key must fail")
+		if err := one(s, store.Op{Kind: store.OpCache, Key: "", Result: json.RawMessage(`1`)}); err == nil {
+			t.Fatal("a cache op without a key must fail")
 		}
-		if err := s.PutJob(rec("job-1", store.StateQueued, 0)); err != nil {
+		if err := one(s, jobOp(rec("job-1", store.StateQueued, 0))); err != nil {
 			t.Fatal(err)
 		}
 		snap, err := s.Load()
@@ -308,8 +314,8 @@ func TestInvalidOpsNeverReachDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = fs.PutJob(store.JobRecord{State: store.StateQueued}) // rejected
-	if err := fs.PutJob(rec("job-1", store.StateDone, 1)); err != nil {
+	_ = one(fs, jobOp(store.JobRecord{State: store.StateQueued})) // rejected
+	if err := one(fs, jobOp(rec("job-1", store.StateDone, 1))); err != nil {
 		t.Fatal(err)
 	}
 	fs.Close()
@@ -337,7 +343,7 @@ func TestFileStoreMidLogCorruptionFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutJob(rec("job-1", store.StateDone, 1)); err != nil {
+	if err := one(s, jobOp(rec("job-1", store.StateDone, 1))); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
